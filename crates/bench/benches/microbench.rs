@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the performance-critical substrates:
 //! posting-list intersection, frequent-pattern mining, pool generation,
-//! the lazy priority queue vs a naive rescan, estimator throughput, and an
-//! end-to-end crawl. Sized to finish in a couple of minutes.
+//! the lazy priority queue vs a naive rescan, estimator throughput, the
+//! out-of-core store's page checksum and cache miss, and an end-to-end
+//! crawl. Sized to finish in a couple of minutes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -215,9 +216,46 @@ fn bench_estimators(c: &mut Criterion) {
     });
 }
 
+fn bench_store(c: &mut Criterion) {
+    use smartcrawl_store::file::{PagedReader, PagedWriter};
+    use smartcrawl_store::{format::checksum, PageCache, SharedStats};
+    use std::sync::Arc;
+
+    let mut rng = StdRng::seed_from_u64(12);
+    let page: Vec<u8> = (0..4096).map(|_| rng.gen_range(0..=255u8)).collect();
+    c.bench_function("store/page_checksum_4k", |b| {
+        b.iter(|| black_box(checksum(black_box(&page))))
+    });
+
+    // Two 4 KiB pages behind a one-page cache: alternating pins miss every
+    // time, so each one pays a positional read plus a full-page verify.
+    let path = std::env::temp_dir().join(format!(
+        "smartcrawl_microbench_pages_{}",
+        std::process::id()
+    ));
+    let mut w = PagedWriter::create(&path, 4096).expect("create bench pages");
+    let cap = w.payload_capacity();
+    for p in 0..2u8 {
+        w.append_page(&vec![p; cap]).expect("append bench page");
+    }
+    w.finish().expect("finish bench pages");
+    let reader = PagedReader::open(&path).expect("open bench pages");
+    let mut cache = PageCache::new(reader, 1, Arc::new(SharedStats::default()));
+    let mut next = 0u64;
+    c.bench_function("store/cold_page_pin", |b| {
+        b.iter(|| {
+            let slot = cache.pin(next).expect("pin bench page");
+            cache.unpin(slot);
+            next ^= 1;
+            black_box(slot)
+        })
+    });
+    std::fs::remove_file(&path).ok();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_inverted_index, bench_fpm, bench_pool_generation, bench_lazy_queue, bench_matching, bench_estimators, bench_end_to_end
+    targets = bench_inverted_index, bench_fpm, bench_pool_generation, bench_lazy_queue, bench_matching, bench_estimators, bench_store, bench_end_to_end
 }
 criterion_main!(benches);

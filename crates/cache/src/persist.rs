@@ -113,7 +113,7 @@ pub fn save_cache(path: impl AsRef<Path>, cache: &QueryCache) -> std::io::Result
 /// rejected with `InvalidData` (the paged layer checksums every page and
 /// writes its header last, so a torn save never half-loads).
 pub fn load_cache(path: impl AsRef<Path>, policy: CachePolicy) -> std::io::Result<QueryCache> {
-    let mut reader = PagedReader::open(path.as_ref()).map_err(from_store)?;
+    let reader = PagedReader::open(path.as_ref()).map_err(from_store)?;
     let mut buf: Vec<u8> = Vec::new();
     let mut page = Vec::new();
     for p in 0..reader.num_pages() {

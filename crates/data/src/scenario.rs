@@ -537,7 +537,7 @@ impl Scenario {
         let mut reader = BlobReader::open(
             &rest_path,
             (runtime.config().cache_pages / 16).max(2),
-            runtime.shared_stats(),
+            runtime.partition_stats(smartcrawl_store::StorePartition::Staging),
         )?;
         let mut scratch = Vec::new();
         // The spill was just written and validated on open; a failed read

@@ -6,23 +6,28 @@
 //! `smartcrawl-store`'s paged format and keeps only O(vocabulary) +
 //! O(page-cache budget) bytes resident:
 //!
-//! * **records blob** — each record varint-encoded once, in insertion
-//!   order (the order the generator yielded them, which every digest in
-//!   the workspace is keyed to).
+//! * **records blob** — each record varint-encoded once behind a varint
+//!   length prefix, in insertion order (the order the generator yielded
+//!   them, which every digest in the workspace is keyed to). The prefixes
+//!   make the blob a self-delimiting stream, so a full sweep is one
+//!   sequential pass that never touches the aux blob.
 //! * **postings blob** — one delta/varint posting list per token over
 //!   *rank-space* ids: records are renumbered by their global ranking
 //!   position before encoding, so every list is simultaneously ascending
 //!   and rank-sorted. A conjunctive top-k is then a rarest-first cursor
 //!   intersection that emits winners in final page order and *stops at
 //!   `k`* — non-winning records are never touched, let alone decoded.
-//! * **aux blob** — three fixed-width arrays (rank → insertion id,
-//!   insertion id → record locator + rank, and the external-id lookup as
-//!   a sorted `(external, insertion)` array probed by binary search), all
-//!   read through the page cache so resident memory stays O(cache), not
+//! * **aux blob** — three fixed-width arrays: the rank-indexed row
+//!   directory (rank → record locator), insertion id → rank (for
+//!   [`DiskHidden::record_at`]), and the external-id lookup as a sorted
+//!   `(external, rank)` array probed by binary search. All are read
+//!   through the page cache, so resident memory stays O(cache), not
 //!   O(|H|).
 //!
-//! `Retrieved` views are materialized lazily through a bounded
-//! two-generation cache instead of eagerly for every record. Build-time
+//! A result row is a rank, so it costs one directory read plus one record
+//! read. `Retrieved` views are materialized lazily through a bounded
+//! two-generation cache keyed by rank, so a row whose view is cached
+//! costs no store read at all. Build-time
 //! postings construction is chunked over token ranges with the tokenized
 //! documents spilled to a staging blob, so peak build memory is bounded
 //! by the chunk budget rather than the corpus' total token count. (The
@@ -39,18 +44,21 @@ use crate::record::{ExternalId, HiddenRecord, Retrieved};
 use smartcrawl_store::format::{read_varint, write_varint};
 use smartcrawl_store::postings::{decode_postings_into, encode_postings, PostingCursor};
 use smartcrawl_store::{
-    expect_store, BlobReader, BlobWriter, Locator, Result, StoreError, StoreReport, StoreRuntime,
+    expect_store, BlobReader, BlobWriter, Locator, Result, StoreError, StorePartition, StoreReport,
+    StoreRuntime,
 };
 use smartcrawl_text::{TokenId, Tokenizer, Vocabulary};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Bytes of one external-id lookup entry: `u64` external + `u32` insertion.
+/// Bytes of one external-id lookup entry: `u64` external + `u32` rank.
 const EXT_ENTRY: u64 = 12;
-/// Bytes of one record-meta entry: `u64` offset + `u32` len + `u32` rank.
-const META_ENTRY: u64 = 16;
-/// Bytes of one rank-map entry: `u32` insertion id.
+/// Bytes of one row-directory entry: record `u64` offset + `u32` length.
+const ROW_ENTRY: u64 = 12;
+/// Bytes of one insertion → rank entry: `u32` rank.
 const RANK_ENTRY: u64 = 4;
+/// Longest LEB128 varint (a `u64`), the most a length prefix can span.
+const MAX_VARINT: u64 = 10;
 /// Posting ids (× 4 bytes) one build chunk may hold in RAM.
 const CHUNK_IDS: usize = 4 << 20;
 /// Lazily materialized `Retrieved` views kept per cache generation.
@@ -147,20 +155,20 @@ impl ViewCache {
         }
     }
 
-    fn get(&mut self, ins: u32) -> Option<Retrieved> {
-        if let Some(v) = self.hot.get(&ins) {
+    fn get(&mut self, rank: u32) -> Option<Retrieved> {
+        if let Some(v) = self.hot.get(&rank) {
             return Some(v.clone());
         }
-        let v = self.cold.remove(&ins)?;
-        self.insert(ins, v.clone());
+        let v = self.cold.remove(&rank)?;
+        self.insert(rank, v.clone());
         Some(v)
     }
 
-    fn insert(&mut self, ins: u32, view: Retrieved) {
+    fn insert(&mut self, rank: u32, view: Retrieved) {
         if self.hot.len() >= self.cap {
             self.cold = std::mem::take(&mut self.hot);
         }
-        self.hot.insert(ins, view);
+        self.hot.insert(rank, view);
     }
 }
 
@@ -187,10 +195,13 @@ pub(crate) struct DiskHidden {
     post_locs: Vec<Locator>,
     /// Per-token document frequency (O(vocab)).
     post_counts: Vec<u32>,
-    /// Logical offsets of the three aux runs.
+    /// Logical offsets of the three aux runs: the row directory,
+    /// insertion → rank, and the sorted external-id lookup.
+    row_base: u64,
     rank_base: u64,
-    meta_base: u64,
     ext_base: u64,
+    /// Logical length of the records blob (end of the last record).
+    records_end: u64,
     reader: Mutex<Readers>,
 }
 
@@ -224,6 +235,7 @@ impl DiskHidden {
         let mut exts: Vec<u64> = Vec::new();
         let mut tok_counts: Vec<u32> = Vec::new();
         let mut buf = Vec::new();
+        let mut prefix = Vec::with_capacity(MAX_VARINT as usize);
         for r in records {
             let doc = r.searchable.document(tokenizer, vocab);
             buf.clear();
@@ -241,10 +253,16 @@ impl DiskHidden {
             }
             doc_locs.push(doc_writer.append(&buf)?);
             encode_record(&r, &mut buf);
+            prefix.clear();
+            write_varint(&mut prefix, buf.len() as u64);
+            rec_writer.append(&prefix)?;
             rec_locs.push(rec_writer.append(&buf)?);
             keys.push((ranking.key(r.external_id.0, r.rank_signal), r.external_id.0));
             exts.push(r.external_id.0);
         }
+        let records_end = rec_locs
+            .last()
+            .map_or(0, |loc| loc.off + u64::from(loc.len));
         rec_writer.finish()?;
         doc_writer.finish()?;
         tok_counts.resize(vocab.len(), 0);
@@ -274,8 +292,11 @@ impl DiskHidden {
         let mut post_writer = BlobWriter::create(&post_path, page_size)?;
         let mut post_locs: Vec<Locator> = Vec::with_capacity(vocab.len());
         let mut post_counts: Vec<u32> = Vec::with_capacity(vocab.len());
-        let mut staging =
-            BlobReader::open(&doc_path, staging_budget(&runtime), runtime.shared_stats())?;
+        let mut staging = BlobReader::open(
+            &doc_path,
+            staging_budget(&runtime),
+            runtime.partition_stats(StorePartition::Staging),
+        )?;
         let mut chunk_lo = 0usize;
         let mut doc_buf: Vec<u8> = Vec::new();
         let mut encoded: Vec<u8> = Vec::new();
@@ -329,53 +350,60 @@ impl DiskHidden {
         // `base + i × ENTRY`).
         let aux_path = runtime.file_path("hidden-aux");
         let mut aux_writer = BlobWriter::create(&aux_path, page_size)?;
+        let mut row_base = 0u64;
         let mut rank_base = 0u64;
-        let mut meta_base = 0u64;
         let mut ext_base = 0u64;
-        for (i, &ins) in order.iter().enumerate() {
-            let loc = aux_writer.append(&ins.to_le_bytes())?;
-            if i == 0 {
-                rank_base = loc.off;
-            }
-        }
-        drop(order);
-        let mut entry: Vec<u8> = Vec::with_capacity(META_ENTRY as usize);
-        for (ins, loc) in rec_locs.iter().enumerate() {
+        let mut entry: Vec<u8> = Vec::with_capacity(ROW_ENTRY as usize);
+        for (rank, &ins) in order.iter().enumerate() {
+            let loc = rec_locs.get(ins as usize).copied().unwrap_or_default();
             entry.clear();
             entry.extend_from_slice(&loc.off.to_le_bytes());
             entry.extend_from_slice(&loc.len.to_le_bytes());
-            let rank = ins_to_rank.get(ins).copied().unwrap_or(0);
-            entry.extend_from_slice(&rank.to_le_bytes());
-            let loc = aux_writer.append(&entry)?;
-            if ins == 0 {
-                meta_base = loc.off;
+            let at = aux_writer.append(&entry)?;
+            if rank == 0 {
+                row_base = at.off;
             }
         }
+        drop(order);
         drop(rec_locs);
-        drop(ins_to_rank);
+        for (ins, &rank) in ins_to_rank.iter().enumerate() {
+            let at = aux_writer.append(&rank.to_le_bytes())?;
+            if ins == 0 {
+                rank_base = at.off;
+            }
+        }
         let mut ext_pairs: Vec<(u64, u32)> = exts
             .into_iter()
-            .enumerate()
-            .map(|(ins, ext)| (ext, ins as u32))
+            .zip(&ins_to_rank)
+            .map(|(ext, &rank)| (ext, rank))
             .collect();
+        drop(ins_to_rank);
         ext_pairs.sort_unstable();
-        for (i, &(ext, ins)) in ext_pairs.iter().enumerate() {
+        for (i, &(ext, rank)) in ext_pairs.iter().enumerate() {
             entry.clear();
             entry.extend_from_slice(&ext.to_le_bytes());
-            entry.extend_from_slice(&ins.to_le_bytes());
-            let loc = aux_writer.append(&entry)?;
+            entry.extend_from_slice(&rank.to_le_bytes());
+            let at = aux_writer.append(&entry)?;
             if i == 0 {
-                ext_base = loc.off;
+                ext_base = at.off;
             }
         }
         aux_writer.finish()?;
         drop(ext_pairs);
 
-        let stats = runtime.shared_stats();
+        let part = |p| runtime.partition_stats(p);
         let reader = Readers {
-            records: BlobReader::open(&rec_path, record_budget(&runtime), Arc::clone(&stats))?,
-            postings: BlobReader::open(&post_path, postings_budget(&runtime), Arc::clone(&stats))?,
-            aux: BlobReader::open(&aux_path, aux_budget(&runtime), stats)?,
+            records: BlobReader::open(
+                &rec_path,
+                record_budget(&runtime),
+                part(StorePartition::Records),
+            )?,
+            postings: BlobReader::open(
+                &post_path,
+                postings_budget(&runtime),
+                part(StorePartition::Postings),
+            )?,
+            aux: BlobReader::open(&aux_path, aux_budget(&runtime), part(StorePartition::Aux))?,
             scratch: Vec::new(),
             views: ViewCache::new(VIEW_CACHE_CAP),
         };
@@ -384,9 +412,10 @@ impl DiskHidden {
             n,
             post_locs,
             post_counts,
+            row_base,
             rank_base,
-            meta_base,
             ext_base,
+            records_end,
             reader: Mutex::new(reader),
         })
     }
@@ -409,32 +438,25 @@ impl DiskHidden {
             off,
             len: len as u32,
         };
-        let mut out = std::mem::take(&mut r.scratch);
-        let res = r.aux.read(loc, &mut out);
-        r.scratch = out;
-        res
+        r.aux.read(loc, &mut r.scratch)
     }
 
-    /// Insertion id of the record ranked `rank`.
-    fn rank_to_ins(&self, r: &mut Readers, rank: u32) -> Result<u32> {
-        Self::aux_entry(r, self.rank_base + u64::from(rank) * RANK_ENTRY, RANK_ENTRY)?;
-        le_u32(&r.scratch, 0).ok_or_else(short_read)
-    }
-
-    /// Record locator and rank of insertion id `ins`.
-    fn meta_of(&self, r: &mut Readers, ins: u32) -> Result<(Locator, u32)> {
-        Self::aux_entry(r, self.meta_base + u64::from(ins) * META_ENTRY, META_ENTRY)?;
-        match (
-            le_u64(&r.scratch, 0),
-            le_u32(&r.scratch, 8),
-            le_u32(&r.scratch, 12),
-        ) {
-            (Some(off), Some(len), Some(rank)) => Ok((Locator { off, len }, rank)),
+    /// Record locator of the row ranked `rank` (one directory read).
+    fn row_of(&self, r: &mut Readers, rank: u32) -> Result<Locator> {
+        Self::aux_entry(r, self.row_base + u64::from(rank) * ROW_ENTRY, ROW_ENTRY)?;
+        match (le_u64(&r.scratch, 0), le_u32(&r.scratch, 8)) {
+            (Some(off), Some(len)) => Ok(Locator { off, len }),
             _ => Err(short_read()),
         }
     }
 
-    /// Binary search of the sorted `(external, insertion)` array.
+    /// Rank of insertion id `ins`.
+    fn rank_of(&self, r: &mut Readers, ins: u32) -> Result<u32> {
+        Self::aux_entry(r, self.rank_base + u64::from(ins) * RANK_ENTRY, RANK_ENTRY)?;
+        le_u32(&r.scratch, 0).ok_or_else(short_read)
+    }
+
+    /// Binary search of the sorted `(external, rank)` array.
     fn lookup_external(&self, r: &mut Readers, ext: u64) -> Result<Option<u32>> {
         let (mut lo, mut hi) = (0u64, u64::from(self.n));
         while lo < hi {
@@ -450,29 +472,26 @@ impl DiskHidden {
         Ok(None)
     }
 
-    /// Decodes the full record at insertion id `ins`.
-    fn record_of(&self, r: &mut Readers, ins: u32) -> Result<HiddenRecord> {
-        let (loc, _) = self.meta_of(r, ins)?;
-        let mut out = std::mem::take(&mut r.scratch);
-        let res = r.records.read(loc, &mut out);
-        r.scratch = out;
-        res?;
+    /// Decodes the full record ranked `rank`.
+    fn record_of(&self, r: &mut Readers, rank: u32) -> Result<HiddenRecord> {
+        let loc = self.row_of(r, rank)?;
+        r.records.read(loc, &mut r.scratch)?;
         decode_record(&r.scratch).ok_or_else(|| corrupt(&self.runtime, "undecodable record"))
     }
 
-    /// The interface view of insertion id `ins`, through the bounded
+    /// The interface view of the row ranked `rank`, through the bounded
     /// lazy cache.
-    fn view_of(&self, r: &mut Readers, ins: u32) -> Result<Retrieved> {
-        if let Some(v) = r.views.get(ins) {
+    fn view_of(&self, r: &mut Readers, rank: u32) -> Result<Retrieved> {
+        if let Some(v) = r.views.get(rank) {
             return Ok(v);
         }
-        let rec = self.record_of(r, ins)?;
+        let rec = self.record_of(r, rank)?;
         let view = Retrieved::new(
             rec.external_id,
             rec.searchable.fields().to_vec(),
             rec.payload,
         );
-        r.views.insert(ins, view.clone());
+        r.views.insert(rank, view.clone());
         Ok(view)
     }
 
@@ -480,8 +499,7 @@ impl DiskHidden {
     fn page_of_ranks(&self, r: &mut Readers, ranks: &[u32]) -> Result<Vec<Retrieved>> {
         let mut page = Vec::with_capacity(ranks.len());
         for &rank in ranks {
-            let ins = self.rank_to_ins(r, rank)?;
-            page.push(self.view_of(r, ins)?);
+            page.push(self.view_of(r, rank)?);
         }
         Ok(page)
     }
@@ -602,30 +620,60 @@ impl DiskHidden {
     /// Ground-truth record access by external id.
     pub(crate) fn get(&self, id: ExternalId) -> Option<HiddenRecord> {
         let mut r = self.lock();
-        let ins = expect_store(self.lookup_external(&mut r, id.0), "hidden external lookup")?;
-        Some(expect_store(self.record_of(&mut r, ins), "hidden record read"))
+        let rank = expect_store(self.lookup_external(&mut r, id.0), "hidden external lookup")?;
+        Some(expect_store(self.record_of(&mut r, rank), "hidden record read"))
     }
 
     /// The interface view by external id.
     pub(crate) fn retrieved_of(&self, id: ExternalId) -> Option<Retrieved> {
         let mut r = self.lock();
-        let ins = expect_store(self.lookup_external(&mut r, id.0), "hidden external lookup")?;
-        Some(expect_store(self.view_of(&mut r, ins), "hidden view read"))
+        let rank = expect_store(self.lookup_external(&mut r, id.0), "hidden external lookup")?;
+        Some(expect_store(self.view_of(&mut r, rank), "hidden view read"))
     }
 
     /// The full record at insertion position `ins` (iteration support).
     pub(crate) fn record_at(&self, ins: usize) -> HiddenRecord {
         let mut r = self.lock();
-        expect_store(self.record_of(&mut r, ins as u32), "hidden record read")
+        let record = u32::try_from(ins)
+            .map_err(|_| corrupt(&self.runtime, "insertion id beyond u32"))
+            .and_then(|ins| self.rank_of(&mut r, ins))
+            .and_then(|rank| self.record_of(&mut r, rank));
+        expect_store(record, "hidden record read")
+    }
+
+    /// Reads the next length-delimited record of the records blob at
+    /// `*cursor` into the scratch buffer and advances `*cursor` past it.
+    fn next_record(&self, r: &mut Readers, cursor: &mut u64) -> Result<()> {
+        let span = MAX_VARINT.min(self.records_end.saturating_sub(*cursor));
+        let prefix = Locator {
+            off: *cursor,
+            len: span as u32,
+        };
+        r.records.read(prefix, &mut r.scratch)?;
+        let mut pos = 0usize;
+        let len = read_varint(&r.scratch, &mut pos)
+            .and_then(|len| u32::try_from(len).ok())
+            .ok_or_else(|| corrupt(&self.runtime, "undecodable record length"))?;
+        let loc = Locator {
+            off: *cursor + pos as u64,
+            len,
+        };
+        *cursor = loc.off + u64::from(len);
+        r.records.read(loc, &mut r.scratch)
     }
 
     /// Streams every record's interface view in insertion order without
-    /// materializing the set — sequential blob reads, bypassing the view
-    /// cache so a full sweep cannot evict the working set.
+    /// materializing the set — one sequential pass over the
+    /// length-delimited records blob, bypassing the view cache (and the
+    /// aux blob) so a full sweep cannot evict the working set.
     pub(crate) fn for_each_retrieved(&self, mut f: impl FnMut(Retrieved)) {
         let mut r = self.lock();
-        for ins in 0..self.n {
-            let rec = expect_store(self.record_of(&mut r, ins), "hidden record sweep");
+        let mut cursor = 0u64;
+        for _ in 0..self.n {
+            let rec = self.next_record(&mut r, &mut cursor).and_then(|()| {
+                decode_record(&r.scratch).ok_or_else(|| corrupt(&self.runtime, "undecodable record"))
+            });
+            let rec = expect_store(rec, "hidden record sweep");
             f(Retrieved::new(
                 rec.external_id,
                 rec.searchable.fields().to_vec(),

@@ -11,7 +11,7 @@
 use crate::cache::SharedStats;
 use crate::forward::DiskForwardIndex;
 use crate::inverted::DiskInvertedIndex;
-use crate::{Result, StoreConfig, StoreReport, StoreStats};
+use crate::{Result, StoreConfig, StorePartition, StoreReport, StoreStats};
 use smartcrawl_index::{ForwardBackend, ForwardIndex, InvertedIndex, PostingsBackend, QueryId};
 use smartcrawl_text::{Document, RecordId, TokenId};
 use std::path::{Path, PathBuf};
@@ -56,6 +56,9 @@ pub struct StoreRuntime {
     owned: bool,
     config: StoreConfig,
     stats: Arc<SharedStats>,
+    /// Per-partition counters, in [`StorePartition::ALL`] order; each
+    /// also feeds `stats`.
+    partitions: [Arc<SharedStats>; 4],
     file_seq: AtomicU64,
 }
 
@@ -72,11 +75,14 @@ impl StoreRuntime {
             }
         };
         std::fs::create_dir_all(&dir)?;
+        let stats = Arc::new(SharedStats::default());
+        let partitions = StorePartition::ALL.map(|_| SharedStats::partition_of(&stats));
         Ok(Arc::new(Self {
             dir,
             owned,
             config,
-            stats: Arc::new(SharedStats::default()),
+            stats,
+            partitions,
             file_seq: AtomicU64::new(0),
         }))
     }
@@ -102,6 +108,18 @@ impl StoreRuntime {
         Arc::clone(&self.stats)
     }
 
+    /// The counters of one partition's caches (they also feed the
+    /// totals of [`shared_stats`](Self::shared_stats)).
+    pub fn partition_stats(&self, part: StorePartition) -> Arc<SharedStats> {
+        let [postings, records, aux, staging] = &self.partitions;
+        Arc::clone(match part {
+            StorePartition::Postings => postings,
+            StorePartition::Records => records,
+            StorePartition::Aux => aux,
+            StorePartition::Staging => staging,
+        })
+    }
+
     /// Cache budget of one inverted-index shard: half the total budget
     /// split across shards (the other half goes to the forward index).
     pub fn shard_cache_budget(&self) -> usize {
@@ -120,10 +138,15 @@ impl StoreRuntime {
 
     /// The run-level report: configured bounds plus observed activity.
     pub fn report(&self) -> StoreReport {
+        let [postings, records, aux, staging] = &self.partitions;
         StoreReport {
             page_size: self.config.page_size,
             cache_budget_pages: self.config.cache_pages,
             stats: self.stats(),
+            postings: postings.snapshot(),
+            records: records.snapshot(),
+            aux: aux.snapshot(),
+            staging: staging.snapshot(),
         }
     }
 }

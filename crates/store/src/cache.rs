@@ -1,24 +1,30 @@
 //! Fixed-budget page cache with pinned/LRU eviction.
 //!
 //! Each [`PageCache`] fronts one [`PagedReader`] and keeps at most
-//! `budget` decoded page payloads resident. Frames are recycled in
-//! least-recently-used order, where "time" is a logical access tick —
-//! never the wall clock — so which page gets evicted is a pure function
-//! of the access sequence and replays identically across runs.
+//! `budget` verified pages resident. Frames are recycled in
+//! least-recently-used order: an intrusive doubly linked recency list
+//! over the frame slots, where every pin moves its frame to the
+//! most-recent end, and a miss takes its victim from the least-recent
+//! end. Order is a pure function of the access sequence — never the
+//! wall clock — so which page gets evicted replays identically across
+//! runs.
 //!
 //! Pinning is load-bearing for correctness, not just performance:
 //! [`read_span`](PageCache::read_span) pins *every* page a span touches
 //! before copying, so a span that covers more pages than the budget
 //! cannot evict its own tail mid-copy (the cache grows past budget
 //! rather than deadlock, and shrinks back through normal eviction).
+//! Eviction skips pinned frames.
 
-use crate::file::PagedReader;
+use crate::file::{PagedReader, PAGE_HEADER_LEN};
 use crate::{Result, StoreError, StoreStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Cache counters shared (lock-free) by every cache a runtime owns.
+/// Cache counters shared (lock-free) by the caches that feed them. A
+/// partition's counters ([`partition_of`](Self::partition_of)) also
+/// feed the run-level totals they were created from.
 #[derive(Debug, Default)]
 pub struct SharedStats {
     hits: AtomicU64,
@@ -26,9 +32,20 @@ pub struct SharedStats {
     evictions: AtomicU64,
     resident: AtomicU64,
     peak: AtomicU64,
+    /// Run-level totals every event is forwarded to, if any.
+    total: Option<Arc<SharedStats>>,
 }
 
 impl SharedStats {
+    /// Fresh counters for one cache partition whose every event also
+    /// counts in `total`.
+    pub fn partition_of(total: &Arc<SharedStats>) -> Arc<SharedStats> {
+        Arc::new(SharedStats {
+            total: Some(Arc::clone(total)),
+            ..SharedStats::default()
+        })
+    }
+
     /// Snapshot the counters. Counts are schedule-dependent under
     /// concurrent query evaluation — report them, never digest them.
     pub fn snapshot(&self) -> StoreStats {
@@ -43,52 +60,84 @@ impl SharedStats {
 
     fn hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(total) = &self.total {
+            total.hit();
+        }
     }
 
     fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
+        if let Some(total) = &self.total {
+            total.miss();
+        }
     }
 
     fn evicted(&self) {
         self.evictions.fetch_add(1, Ordering::Relaxed);
+        if let Some(total) = &self.total {
+            total.evicted();
+        }
     }
 
     fn resident_up(&self) {
         let now = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak.fetch_max(now, Ordering::Relaxed);
+        if let Some(total) = &self.total {
+            total.resident_up();
+        }
     }
 }
+
+/// End marker of the recency list (`frames.get(NIL)` is `None`).
+const NIL: usize = usize::MAX;
 
 #[derive(Debug)]
 struct Frame {
     /// Page held by this frame; `u64::MAX` marks a vacated frame.
     page: u64,
-    payload: Vec<u8>,
-    /// Logical tick of the last access (LRU key — no wall clock).
-    last_used: u64,
+    /// The whole on-disk page, verified in place by
+    /// [`PagedReader::load_page`].
+    bytes: Vec<u8>,
+    /// Payload length: the payload is `bytes[PAGE_HEADER_LEN..][..len]`.
+    len: usize,
     /// Pin count; pinned frames are never evicted.
     pinned: u32,
+    /// Neighbour towards the least-recent end of the recency list.
+    older: usize,
+    /// Neighbour towards the most-recent end of the recency list.
+    newer: usize,
 }
 
 impl Frame {
     fn vacant() -> Self {
         Frame {
             page: u64::MAX,
-            payload: Vec::new(),
-            last_used: 0,
+            bytes: Vec::new(),
+            len: 0,
             pinned: 0,
+            older: NIL,
+            newer: NIL,
         }
+    }
+
+    fn payload(&self) -> &[u8] {
+        self.bytes
+            .get(PAGE_HEADER_LEN..PAGE_HEADER_LEN + self.len)
+            .unwrap_or_default()
     }
 }
 
-/// A bounded set of resident page payloads over one paged file.
+/// A bounded set of resident pages over one paged file.
 #[derive(Debug)]
 pub struct PageCache {
     reader: PagedReader,
     frames: Vec<Frame>,
     slot_of: HashMap<u64, usize>,
     budget: usize,
-    tick: u64,
+    /// Least-recently pinned frame (first eviction candidate).
+    oldest: usize,
+    /// Most-recently pinned frame.
+    newest: usize,
     stats: Arc<SharedStats>,
 }
 
@@ -102,7 +151,8 @@ impl PageCache {
             frames: Vec::with_capacity(budget.min(1024)),
             slot_of: HashMap::new(),
             budget,
-            tick: 0,
+            oldest: NIL,
+            newest: NIL,
             stats,
         }
     }
@@ -116,32 +166,93 @@ impl PageCache {
         StoreError::corrupt(self.reader.path(), "cache frame vanished")
     }
 
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let Some(frame) = self.frames.get(slot) else {
+            return;
+        };
+        let (older, newer) = (frame.older, frame.newer);
+        match self.frames.get_mut(older) {
+            Some(f) => f.newer = newer,
+            None => self.oldest = newer,
+        }
+        match self.frames.get_mut(newer) {
+            Some(f) => f.older = older,
+            None => self.newest = older,
+        }
+    }
+
+    /// Links an unlinked `slot` in at the most-recent end.
+    fn link_newest(&mut self, slot: usize) {
+        let prev = self.newest;
+        if let Some(f) = self.frames.get_mut(slot) {
+            f.older = prev;
+            f.newer = NIL;
+        }
+        match self.frames.get_mut(prev) {
+            Some(f) => f.newer = slot,
+            None => self.oldest = slot,
+        }
+        self.newest = slot;
+    }
+
+    /// Links an unlinked `slot` in at the least-recent end.
+    fn link_oldest(&mut self, slot: usize) {
+        let next = self.oldest;
+        if let Some(f) = self.frames.get_mut(slot) {
+            f.older = NIL;
+            f.newer = next;
+        }
+        match self.frames.get_mut(next) {
+            Some(f) => f.older = slot,
+            None => self.newest = slot,
+        }
+        self.oldest = slot;
+    }
+
+    /// Marks `slot` most recently used.
+    fn touch(&mut self, slot: usize) {
+        if self.newest != slot {
+            self.unlink(slot);
+            self.link_newest(slot);
+        }
+    }
+
     /// Makes `page` resident and pins it; returns its frame slot. The
     /// caller must [`unpin`](Self::unpin) the slot when done with the
     /// payload.
     pub fn pin(&mut self, page: u64) -> Result<usize> {
-        self.tick += 1;
-        let tick = self.tick;
         if let Some(&slot) = self.slot_of.get(&page) {
             if let Some(frame) = self.frames.get_mut(slot) {
-                frame.last_used = tick;
                 frame.pinned += 1;
                 self.stats.hit();
+                self.touch(slot);
                 return Ok(slot);
             }
         }
         self.stats.miss();
         let slot = self.claim_slot();
-        // Split borrows: the reader fills the frame's buffer in place.
+        // Split borrows: the reader verifies the page in the frame itself.
         let Self { reader, frames, .. } = self;
         let Some(frame) = frames.get_mut(slot) else {
             return Err(self.frame_gone());
         };
-        reader.read_page(page, &mut frame.payload)?;
-        frame.page = page;
-        frame.last_used = tick;
-        frame.pinned = 1;
+        match reader.load_page(page, &mut frame.bytes) {
+            Ok(len) => {
+                frame.page = page;
+                frame.len = len;
+                frame.pinned = 1;
+            }
+            Err(e) => {
+                // The frame stays vacant: first in line for reuse.
+                frame.len = 0;
+                self.unlink(slot);
+                self.link_oldest(slot);
+                return Err(e);
+            }
+        }
         self.slot_of.insert(page, slot);
+        self.touch(slot);
         Ok(slot)
     }
 
@@ -157,37 +268,33 @@ impl PageCache {
     /// a temporary over-budget frame.
     fn claim_slot(&mut self) -> usize {
         if self.frames.len() < self.budget {
-            self.frames.push(Frame::vacant());
-            self.stats.resident_up();
-            return self.frames.len() - 1;
+            return self.push_frame();
         }
-        let victim = self
-            .frames
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.pinned == 0)
-            .min_by_key(|&(i, f)| (f.last_used, i))
-            .map(|(i, _)| i);
-        match victim {
-            Some(slot) => {
-                if let Some(frame) = self.frames.get_mut(slot) {
-                    self.slot_of.remove(&frame.page);
-                    frame.page = u64::MAX;
-                    self.stats.evicted();
-                }
-                slot
+        let mut slot = self.oldest;
+        while let Some(frame) = self.frames.get_mut(slot) {
+            if frame.pinned == 0 {
+                self.slot_of.remove(&frame.page);
+                frame.page = u64::MAX;
+                self.stats.evicted();
+                return slot;
             }
-            None => {
-                self.frames.push(Frame::vacant());
-                self.stats.resident_up();
-                self.frames.len() - 1
-            }
+            slot = frame.newer;
         }
+        self.push_frame()
+    }
+
+    /// Appends a vacant frame at the most-recent end.
+    fn push_frame(&mut self) -> usize {
+        self.frames.push(Frame::vacant());
+        self.stats.resident_up();
+        let slot = self.frames.len() - 1;
+        self.link_newest(slot);
+        slot
     }
 
     fn copy_from(&self, slot: usize, start: usize, len: usize, out: &mut Vec<u8>) -> Result<()> {
         let frame = self.frames.get(slot).ok_or_else(|| self.frame_gone())?;
-        let bytes = frame.payload.get(start..start + len).ok_or_else(|| {
+        let bytes = frame.payload().get(start..start + len).ok_or_else(|| {
             StoreError::corrupt(self.reader.path(), "byte span runs past its page payload")
         })?;
         out.extend_from_slice(bytes);
@@ -204,10 +311,15 @@ impl PageCache {
         if len == 0 {
             return Ok(());
         }
-        out.reserve(len);
         let cap = self.payload_capacity() as u64;
+        let file_end = self.reader.num_pages().saturating_mul(cap);
+        let end = off
+            .checked_add(len as u64)
+            .filter(|&end| end <= file_end)
+            .ok_or_else(|| StoreError::corrupt(self.reader.path(), "byte span runs past the file"))?;
+        out.reserve(len);
         let first = off / cap;
-        let last = (off + len as u64 - 1) / cap;
+        let last = (end - 1) / cap;
         if first == last {
             let slot = self.pin(first)?;
             let res = self.copy_from(slot, (off % cap) as usize, len, out);
@@ -332,5 +444,129 @@ mod tests {
         cache.read_span(cap as u64 - 3, 6, &mut out).unwrap();
         assert_eq!(out, [0, 0, 0, 1, 1, 1]);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The frame-scanning LRU the recency list replaced: the victim is
+    /// the unpinned frame with the oldest access tick (lowest slot on a
+    /// tie), found by scanning every frame.
+    struct ScanModel {
+        /// `(page, last_used, pinned)` per slot.
+        frames: Vec<(u64, u64, u32)>,
+        slot_of: HashMap<u64, usize>,
+        budget: usize,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl ScanModel {
+        fn new(budget: usize) -> Self {
+            ScanModel {
+                frames: Vec::new(),
+                slot_of: HashMap::new(),
+                budget,
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }
+        }
+
+        fn pin(&mut self, page: u64) -> usize {
+            self.tick += 1;
+            if let Some(&slot) = self.slot_of.get(&page) {
+                self.frames[slot].1 = self.tick;
+                self.frames[slot].2 += 1;
+                self.hits += 1;
+                return slot;
+            }
+            self.misses += 1;
+            let victim = self
+                .frames
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.2 == 0)
+                .min_by_key(|&(i, f)| (f.1, i))
+                .map(|(i, _)| i);
+            let slot = match victim {
+                Some(slot) if self.frames.len() >= self.budget => {
+                    self.slot_of.remove(&self.frames[slot].0);
+                    self.evictions += 1;
+                    slot
+                }
+                _ => {
+                    self.frames.push((u64::MAX, 0, 0));
+                    self.frames.len() - 1
+                }
+            };
+            self.frames[slot] = (page, self.tick, 1);
+            self.slot_of.insert(page, slot);
+            slot
+        }
+
+        fn unpin(&mut self, slot: usize) {
+            self.frames[slot].2 = self.frames[slot].2.saturating_sub(1);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random pin/unpin/span sequences evict exactly as the frame
+        /// scan did: same slot per pin, same resident pages, same hits,
+        /// misses and evictions after every step.
+        #[test]
+        fn recency_list_matches_the_frame_scan(
+            case in 0u64..1_000_000,
+            budget in 1usize..6,
+            ops in proptest::collection::vec((0u8..3, 0u64..12, 0usize..64), 1..160),
+        ) {
+            let path = tmp(&format!("model_{case}"));
+            let pages = 12u8;
+            let mut cache = build(&path, pages);
+            cache.budget = budget;
+            let mut model = ScanModel::new(budget);
+            let cap = cache.payload_capacity() as u64;
+            let mut held: Vec<usize> = Vec::new();
+            let mut out = Vec::new();
+            for (kind, page, pick) in ops {
+                match kind {
+                    0 => {
+                        let slot = cache.pin(page).unwrap();
+                        proptest::prop_assert_eq!(slot, model.pin(page));
+                        proptest::prop_assert_eq!(cache.frames[slot].payload()[0], page as u8);
+                        held.push(slot);
+                    }
+                    1 if !held.is_empty() => {
+                        let slot = held.swap_remove(pick % held.len());
+                        cache.unpin(slot);
+                        model.unpin(slot);
+                    }
+                    _ => {
+                        // A span over up to 3 pages starting inside `page`.
+                        let off = page * cap + (pick as u64 % cap);
+                        let len = (1 + pick * 7) % (3 * cap as usize) + 1;
+                        let len = len.min((u64::from(pages) * cap - off) as usize);
+                        cache.read_span(off, len, &mut out).unwrap();
+                        let (first, last) = (off / cap, (off + len as u64 - 1) / cap);
+                        let slots: Vec<usize> = (first..=last).map(|p| model.pin(p)).collect();
+                        for slot in slots {
+                            model.unpin(slot);
+                        }
+                        let expect: Vec<u8> =
+                            (off..off + len as u64).map(|b| (b / cap) as u8).collect();
+                        proptest::prop_assert_eq!(&out, &expect);
+                    }
+                }
+                let stats = cache.stats.snapshot();
+                proptest::prop_assert_eq!(
+                    (stats.hits, stats.misses, stats.evictions),
+                    (model.hits, model.misses, model.evictions)
+                );
+                proptest::prop_assert_eq!(&cache.slot_of, &model.slot_of);
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! Shared on-disk format primitives: FNV-1a checksums, LEB128 varints,
-//! and the escape/magic-line helpers of the workspace's line-oriented
-//! text stores.
+//! Shared on-disk format primitives: the word-wise page checksum, LEB128
+//! varints, and the escape/magic-line helpers of the workspace's
+//! line-oriented text stores.
 //!
 //! This is the one format module: the paged binary layout ([`crate::file`])
 //! builds on the checksum and varint helpers, and the query cache's text
@@ -8,18 +8,73 @@
 //! here instead of keeping private copies — the first step toward the
 //! shared cross-process store.
 
-/// FNV-1a offset basis (the same fold the workspace's digests use).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Odd multiplier of the checksum's lane step (the 64-bit golden ratio),
+/// so `h ↦ h · CHECKSUM_PRIME` is a bijection mod 2⁶⁴.
+const CHECKSUM_PRIME: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Distinct starting states of the four checksum lanes.
+const LANE_SEEDS: [u64; 4] = [
+    0xcbf2_9ce4_8422_2325,
+    0x8422_2325_cbf2_9ce4,
+    0x2545_f491_4f6c_dd1d,
+    0x6a09_e667_f3bc_c908,
+];
+/// Starting state of the fold that combines the lanes.
+const FOLD_SEED: u64 = 0xbb67_ae85_84ca_a73b;
 
-/// FNV-1a over a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+/// One lane step: absorbs `word` into `h`. For a fixed `word` it is a
+/// bijection of `h` (xor, odd multiply and xor-shift are each
+/// invertible), and for a fixed `h` a bijection of `word`.
+#[inline(always)]
+fn mix(h: u64, word: u64) -> u64 {
+    let h = (h ^ word).wrapping_mul(CHECKSUM_PRIME);
+    h ^ (h >> 32)
+}
+
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    bytes.try_into().map_or(0, u64::from_le_bytes)
+}
+
+/// 64-bit checksum of `bytes`, read as little-endian `u64` words.
+///
+/// Word `i` is absorbed by lane `i mod 4`, so the four lanes run
+/// independently and the multiplies overlap instead of queueing behind
+/// each other as a byte-serial hash's do. A bijective fold then combines
+/// the lanes, the zero-padded tail bytes and the length, and a bijective
+/// finalizer mixes the result.
+///
+/// Every step is a bijection of the state it carries, so for inputs of
+/// one length, two that differ only inside one aligned 8-byte word (or
+/// only in the tail) always get different checksums. That covers every
+/// single-bit flip and every single-byte change.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, le_word(word));
+        }
     }
-    h
+    let mut words = blocks.remainder().chunks_exact(8);
+    for (lane, word) in lanes.iter_mut().zip(&mut words) {
+        *lane = mix(*lane, le_word(word));
+    }
+    let mut tail = [0u8; 8];
+    for (slot, &b) in tail.iter_mut().zip(words.remainder()) {
+        *slot = b;
+    }
+    let mut acc = FOLD_SEED;
+    for lane in lanes {
+        acc = mix(acc, lane);
+    }
+    acc = mix(acc, u64::from_le_bytes(tail));
+    acc = mix(acc, bytes.len() as u64);
+    // murmur3's fmix64: xor-shifts and odd multiplies, all invertible.
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    acc ^ (acc >> 33)
 }
 
 /// Appends `v` as an LEB128 varint (7 bits per byte, high bit = more).
@@ -150,8 +205,37 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_matches_known_vectors() {
-        assert_eq!(fnv1a(b""), FNV_OFFSET);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    fn checksum_detects_every_single_word_change() {
+        // A 70-byte input: two full 32-byte blocks (8 words), no partial
+        // words, 6 tail bytes — every absorption path is exercised.
+        let base: Vec<u8> = (0..70u8).map(|i| i.wrapping_mul(37)).collect();
+        let sum = checksum(&base);
+        let mut probe = base.clone();
+        for i in 0..base.len() {
+            for bit in 0..8 {
+                probe[i] ^= 1 << bit;
+                assert_ne!(checksum(&probe), sum, "bit {bit} of byte {i}");
+                probe[i] ^= 1 << bit;
+            }
+            for v in 0..=255u8 {
+                if v != base[i] {
+                    probe[i] = v;
+                    assert_ne!(checksum(&probe), sum, "byte {i} = {v}");
+                }
+            }
+            probe[i] = base[i];
+        }
+    }
+
+    #[test]
+    fn checksum_folds_in_the_length() {
+        // Zero tails of different lengths pack to the same tail word;
+        // only the folded length tells them apart.
+        let sums: Vec<u64> = (0..=16).map(|n| checksum(&vec![0u8; n])).collect();
+        for (i, a) in sums.iter().enumerate() {
+            for b in &sums[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
     }
 }

@@ -6,14 +6,15 @@
 //! checksummed on-disk storage layer:
 //!
 //! * [`file`] — the block/offset file layout: fixed-size pages behind a
-//!   versioned, checksummed header, written once by a single
+//!   versioned header, each page guarded by a word-wise 64-bit checksum
+//!   ([`format::checksum`]), written once by a single
 //!   [`PagedWriter`](file::PagedWriter) and then read by any number of
 //!   [`PagedReader`](file::PagedReader)s (single-writer → multi-reader
 //!   discipline). Truncation or bit-rot surfaces as a clean
 //!   [`StoreError::Corrupt`], never a panic.
 //! * [`cache`] — a fixed-budget page cache with pinned/LRU eviction.
-//!   Eviction order is driven by a logical access tick, *never* the wall
-//!   clock, so cached reads stay deterministic.
+//!   Eviction order is an intrusive recency list driven by the access
+//!   sequence, *never* the wall clock, so cached reads stay deterministic.
 //! * [`postings`] — delta- plus varint-encoded posting lists with skip
 //!   entries every [`postings::SKIP_INTERVAL`] elements, enabling
 //!   galloping intersection over encoded lists without full decode.
@@ -179,6 +180,41 @@ impl StoreStats {
     }
 }
 
+/// The page-cache partitions of a disk-backed hidden database. The
+/// runtime's total budget is split ½ postings, ¼ records, 1⁄16 aux and
+/// 1⁄16 staging, and each part keeps its own counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StorePartition {
+    /// Rank-space posting lists.
+    Postings,
+    /// Encoded records.
+    Records,
+    /// Fixed-width side tables: the row directory and the id maps.
+    Aux,
+    /// Build-time spill files.
+    Staging,
+}
+
+impl StorePartition {
+    /// Every partition, in report order.
+    pub const ALL: [StorePartition; 4] = [
+        StorePartition::Postings,
+        StorePartition::Records,
+        StorePartition::Aux,
+        StorePartition::Staging,
+    ];
+
+    /// Short label for reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            StorePartition::Postings => "postings",
+            StorePartition::Records => "records",
+            StorePartition::Aux => "aux",
+            StorePartition::Staging => "staging",
+        }
+    }
+}
+
 /// What a run reports about its disk backend: the configured bounds plus
 /// the observed cache activity. Attached to `CrawlReport`s by the bench
 /// harness so the out-of-core claim is tracked, not anecdotal.
@@ -192,13 +228,32 @@ pub struct StoreReport {
     pub page_size: usize,
     /// Configured total cache budget in pages.
     pub cache_budget_pages: usize,
-    /// Observed cache activity.
+    /// Observed cache activity, over every cache of the runtime.
     pub stats: StoreStats,
+    /// The postings partition's share of `stats`.
+    pub postings: StoreStats,
+    /// The records partition's share of `stats`.
+    pub records: StoreStats,
+    /// The aux partition's share of `stats`.
+    pub aux: StoreStats,
+    /// The staging partition's share of `stats`. Caches outside the four
+    /// partitions (the crawler-side disk index) count in `stats` only.
+    pub staging: StoreStats,
 }
 
 impl StoreReport {
     /// Peak resident index memory in bytes (pages × page size).
     pub fn peak_resident_bytes(&self) -> u64 {
         self.stats.peak_resident_pages * self.page_size as u64
+    }
+
+    /// The counters of one partition.
+    pub fn partition(&self, part: StorePartition) -> StoreStats {
+        match part {
+            StorePartition::Postings => self.postings,
+            StorePartition::Records => self.records,
+            StorePartition::Aux => self.aux,
+            StorePartition::Staging => self.staging,
+        }
     }
 }

@@ -2,12 +2,18 @@
 //! arbitrary ascending id sets, cursor-vs-linear equivalence, blob runs
 //! straddling tiny pages under a tiny cache, and — the recovery
 //! contract — truncated or bit-flipped files surfacing as clean
-//! `StoreError`s, never panics.
+//! `StoreError`s, never panics. The fuzz properties at the end feed the
+//! paged and blob readers arbitrary bytes, forged headers and arbitrary
+//! locators: every one must come back `Err`, never panic.
 
 use proptest::collection::{btree_set, vec};
 use proptest::prelude::*;
 use smartcrawl_store::postings::{decode_postings_into, encode_postings, PostingCursor};
-use smartcrawl_store::{BlobReader, BlobWriter, PagedReader, PagedWriter, SharedStats, StoreError};
+use smartcrawl_store::file::{HEADER_SPAN, MAGIC};
+use smartcrawl_store::format::checksum;
+use smartcrawl_store::{
+    BlobReader, BlobWriter, Locator, PagedReader, PagedWriter, SharedStats, StoreError,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -94,7 +100,7 @@ proptest! {
         std::fs::write(&path, &full[..keep]).expect("truncate");
         match PagedReader::open(&path) {
             Err(StoreError::Corrupt { .. } | StoreError::Io(_)) => {}
-            Ok(mut reader) => {
+            Ok(reader) => {
                 // Open may succeed if the header survived; the torn page
                 // itself must then fail its read.
                 let mut out = Vec::new();
@@ -130,7 +136,7 @@ proptest! {
         std::fs::write(&path, &bytes).expect("rewrite");
         match PagedReader::open(&path) {
             Err(_) => {} // header rejected the flip
-            Ok(mut reader) => {
+            Ok(reader) => {
                 let mut out = Vec::new();
                 let mut clean = Vec::new();
                 for p in 0..reader.num_pages() {
@@ -144,6 +150,94 @@ proptest! {
                 for (p, payload) in clean {
                     prop_assert_eq!(payload, vec![p as u8; 20], "flipped page read back clean");
                 }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Arbitrary bytes, with or without the magic line in front, never
+    /// open as a paged file.
+    #[test]
+    fn arbitrary_bytes_fail_open(
+        case in 0u64..1_000_000,
+        with_magic in 0u8..2,
+        body in vec(0u8..=255, 0..400),
+    ) {
+        let path = tmp("fuzz_open", case);
+        let mut bytes = if with_magic == 1 { MAGIC.to_vec() } else { Vec::new() };
+        bytes.extend_from_slice(&body);
+        std::fs::write(&path, &bytes).expect("write");
+        prop_assert!(PagedReader::open(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A header whose checksum is right but whose sizes are arbitrary,
+    /// over arbitrary page bytes: open rejects impossible sizes and short
+    /// files, and every page read of what does open fails its checksum.
+    #[test]
+    fn forged_headers_over_arbitrary_pages_never_read_clean(
+        case in 0u64..1_000_000,
+        page_size in prop_oneof![0u32..64, Just(64u32), Just(u32::MAX)],
+        num_pages in prop_oneof![0u64..8, Just(u64::MAX / 2), Just(u64::MAX)],
+        body in vec(0u8..=255, 0..600),
+        cut in 0usize..64,
+    ) {
+        let path = tmp("fuzz_forged", case);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&page_size.to_le_bytes());
+        bytes.extend_from_slice(&num_pages.to_le_bytes());
+        let sum = checksum(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes.resize(HEADER_SPAN, 0);
+        bytes.extend_from_slice(&body);
+        bytes.truncate(bytes.len().saturating_sub(cut));
+        std::fs::write(&path, &bytes).expect("write");
+        if let Ok(reader) = PagedReader::open(&path) {
+            let mut out = Vec::new();
+            for p in 0..reader.num_pages().min(16) + 1 {
+                prop_assert!(reader.read_page(p, &mut out).is_err(), "page {} read clean", p);
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Blob reads through a damaged file or at arbitrary locators return
+    /// `Err` or the bytes that were written — never a panic, never wrong
+    /// bytes.
+    #[test]
+    fn blob_reads_of_damaged_files_and_wild_locators_fail_clean(
+        case in 0u64..1_000_000,
+        runs in vec(vec(0u8..=255, 0..90), 1..12),
+        damage in 0u8..3,
+        at in 0usize..2_000,
+        wild_off in prop_oneof![0u64..2_000, Just(u64::MAX - 3)],
+        wild_len in prop_oneof![0u32..200, Just(u32::MAX)],
+    ) {
+        let path = tmp("fuzz_blob", case);
+        let mut w = BlobWriter::create(&path, 32).expect("create");
+        let locs: Vec<Locator> = runs.iter().map(|r| w.append(r).expect("append")).collect();
+        w.finish().expect("finish");
+        let mut bytes = std::fs::read(&path).expect("read file");
+        let idx = at % bytes.len();
+        match damage {
+            0 => bytes.truncate(idx),
+            1 => bytes[idx] ^= 0x10,
+            _ => {}
+        }
+        std::fs::write(&path, &bytes).expect("rewrite");
+        if let Ok(mut r) = BlobReader::open(&path, 2, Arc::new(SharedStats::default())) {
+            let mut out = Vec::new();
+            for (loc, run) in locs.iter().zip(&runs) {
+                if r.read(*loc, &mut out).is_ok() {
+                    prop_assert_eq!(&out, run);
+                }
+            }
+            let wild = Locator { off: wild_off, len: wild_len };
+            let end = locs.last().map_or(0, |l| l.off + u64::from(l.len));
+            let beyond = wild_off.saturating_add(u64::from(wild_len)) > end + 32;
+            let res = r.read(wild, &mut out);
+            if beyond {
+                prop_assert!(res.is_err(), "read past the file at {:?}", wild);
             }
         }
         std::fs::remove_file(&path).ok();
