@@ -8,9 +8,7 @@ use smartcrawl_core::crawl::{
     full_crawl_with, ideal_crawl_with, naive_crawl_with, smart_crawl_with, CrawlObserver,
     CrawlReport, IdealCrawlConfig, NullObserver, SmartCrawlConfig,
 };
-use smartcrawl_core::{
-    DeltaRemoval, IndexBackendConfig, LocalDb, PoolConfig, Strategy, TextContext,
-};
+use smartcrawl_core::{DeltaRemoval, LocalDb, PoolConfig, Strategy, TextContext};
 use smartcrawl_data::Scenario;
 use smartcrawl_hidden::{FlakyInterface, Metered, RetryPolicy, SearchInterface};
 use smartcrawl_match::Matcher;
@@ -77,11 +75,6 @@ pub struct RunSpec {
     /// Pre-built sample overriding `theta` (e.g. from the pool-based
     /// sampler in the Yelp experiment).
     pub sample_override: Option<HiddenSample>,
-    /// Index storage backend: RAM-resident (default) or the out-of-core
-    /// paged store. Shards are contiguous record-id ranges, so crawl
-    /// results are byte-identical either way; only memory residency and
-    /// the report's `store` block differ.
-    pub backend: IndexBackendConfig,
     /// Crawl-driver pipeline depth (1 = strictly sequential). Depths > 1
     /// overlap speculative hidden-site searches with selection and
     /// matching; results are byte-identical at any depth by construction
@@ -111,7 +104,6 @@ impl RunSpec {
             omega: 1.0,
             seed: 0,
             sample_override: None,
-            backend: IndexBackendConfig::Ram,
             pipeline_depth: 1,
         }
     }
@@ -243,8 +235,7 @@ fn dispatch<I: SearchInterface>(
     observer: &mut dyn CrawlObserver,
 ) -> CrawlReport {
     let mut ctx = TextContext::new();
-    let local = LocalDb::build_with(scenario.local.clone(), &mut ctx, &spec.backend)
-        .expect("index backend build failed");
+    let local = LocalDb::build(scenario.local.clone(), &mut ctx);
 
     let smart_sample = |theta: f64| -> HiddenSample {
         match &spec.sample_override {
@@ -255,100 +246,92 @@ fn dispatch<I: SearchInterface>(
 
     // Scoped: the depth applies to exactly this run, so sweeps mixing
     // sequential and pipelined specs can't leak depth across runs.
-    let mut report =
-        smartcrawl_par::with_pipeline_depth(spec.pipeline_depth, || match spec.approach {
-            Approach::Ideal => ideal_crawl_with(
+    smartcrawl_par::with_pipeline_depth(spec.pipeline_depth, || match spec.approach {
+        Approach::Ideal => ideal_crawl_with(
+            &local,
+            iface,
+            &scenario.hidden,
+            &IdealCrawlConfig {
+                budget: spec.budget,
+                matcher: spec.matcher,
+                pool: spec.pool,
+            },
+            retry,
+            observer,
+            ctx,
+        ),
+        Approach::SmartB | Approach::SmartU | Approach::Simple | Approach::Bound => {
+            let (strategy, sample) = match spec.approach {
+                Approach::SmartB => (
+                    Strategy::Est {
+                        kind: smartcrawl_core::EstimatorKind::Biased,
+                        delta_removal: spec.delta_removal,
+                    },
+                    smart_sample(spec.theta),
+                ),
+                Approach::SmartU => (
+                    Strategy::Est {
+                        kind: smartcrawl_core::EstimatorKind::Unbiased,
+                        delta_removal: spec.delta_removal,
+                    },
+                    smart_sample(spec.theta),
+                ),
+                Approach::Simple => (
+                    Strategy::Simple,
+                    HiddenSample {
+                        records: vec![],
+                        theta: 0.0,
+                    },
+                ),
+                Approach::Bound => (
+                    Strategy::Bound,
+                    HiddenSample {
+                        records: vec![],
+                        theta: 0.0,
+                    },
+                ),
+                _ => unreachable!(),
+            };
+            smart_crawl_with(
                 &local,
+                &sample,
                 iface,
-                &scenario.hidden,
-                &IdealCrawlConfig {
+                &SmartCrawlConfig {
                     budget: spec.budget,
+                    strategy,
                     matcher: spec.matcher,
                     pool: spec.pool,
+                    omega: spec.omega,
                 },
                 retry,
                 observer,
                 ctx,
-            ),
-            Approach::SmartB | Approach::SmartU | Approach::Simple | Approach::Bound => {
-                let (strategy, sample) = match spec.approach {
-                    Approach::SmartB => (
-                        Strategy::Est {
-                            kind: smartcrawl_core::EstimatorKind::Biased,
-                            delta_removal: spec.delta_removal,
-                        },
-                        smart_sample(spec.theta),
-                    ),
-                    Approach::SmartU => (
-                        Strategy::Est {
-                            kind: smartcrawl_core::EstimatorKind::Unbiased,
-                            delta_removal: spec.delta_removal,
-                        },
-                        smart_sample(spec.theta),
-                    ),
-                    Approach::Simple => (
-                        Strategy::Simple,
-                        HiddenSample {
-                            records: vec![],
-                            theta: 0.0,
-                        },
-                    ),
-                    Approach::Bound => (
-                        Strategy::Bound,
-                        HiddenSample {
-                            records: vec![],
-                            theta: 0.0,
-                        },
-                    ),
-                    _ => unreachable!(),
-                };
-                smart_crawl_with(
-                    &local,
-                    &sample,
-                    iface,
-                    &SmartCrawlConfig {
-                        budget: spec.budget,
-                        strategy,
-                        matcher: spec.matcher,
-                        pool: spec.pool,
-                        omega: spec.omega,
-                    },
-                    retry,
-                    observer,
-                    ctx,
-                )
-            }
-            Approach::Naive => naive_crawl_with(
+            )
+        }
+        Approach::Naive => naive_crawl_with(
+            &local,
+            iface,
+            spec.budget,
+            spec.matcher,
+            spec.seed,
+            retry,
+            observer,
+            ctx,
+        ),
+        Approach::Full => {
+            let sample = bernoulli_sample(&scenario.hidden, spec.full_theta, spec.seed ^ 0xF011);
+            full_crawl_with(
                 &local,
+                &sample,
                 iface,
                 spec.budget,
                 spec.matcher,
-                spec.seed,
                 retry,
                 observer,
                 ctx,
-            ),
-            Approach::Full => {
-                let sample =
-                    bernoulli_sample(&scenario.hidden, spec.full_theta, spec.seed ^ 0xF011);
-                full_crawl_with(
-                    &local,
-                    &sample,
-                    iface,
-                    spec.budget,
-                    spec.matcher,
-                    retry,
-                    observer,
-                    ctx,
-                )
-            }
-        });
-    // Disk runs carry the page-cache residency numbers out through the
-    // report; the RAM backend has no store and the field stays None. The
-    // stats are schedule-dependent (hit/miss order varies with thread
-    // interleaving) and are never folded into result digests.
-    report.store = local.store_report();
-    report
+            )
+        }
+    })
 }
 
 /// FNV-1a over everything result-bearing in a sweep's outcomes: curves,
@@ -465,59 +448,6 @@ mod tests {
             (flaky_cov - clean_at_served).abs() <= 1,
             "flaky coverage {flaky_cov} vs clean-at-{served} {clean_at_served}"
         );
-    }
-
-    #[test]
-    fn disk_backend_reproduces_ram_results_exactly() {
-        // The store acceptance check at harness level: the same sweep run
-        // on the RAM index and on the paged disk store must digest
-        // identically — shards are contiguous record ranges, so the merge
-        // is the sorted match set either way.
-        let s = smartcrawl_data::Scenario::build(ScenarioConfig::tiny(11));
-        let specs: Vec<RunSpec> = [Approach::SmartB, Approach::Bound, Approach::Full]
-            .into_iter()
-            .map(|a| {
-                let mut spec = RunSpec::new(a, 12);
-                spec.theta = 0.05;
-                spec
-            })
-            .collect();
-        let ram = digest_outcomes(&run_specs(&s, &specs));
-        let disk_specs: Vec<RunSpec> = specs
-            .iter()
-            .map(|spec| {
-                let mut d = spec.clone();
-                // A deliberately tiny cache so eviction paths run in-test.
-                d.backend = IndexBackendConfig::Disk(smartcrawl_core::StoreConfig {
-                    page_size: 256,
-                    cache_pages: 8,
-                    shards: 3,
-                    ..Default::default()
-                });
-                d
-            })
-            .collect();
-        let disk_outcomes = run_specs(&s, &disk_specs);
-        assert_eq!(
-            ram,
-            digest_outcomes(&disk_outcomes),
-            "disk backend diverged from RAM"
-        );
-        // Every disk run reports its store; the sweep as a whole must
-        // have gone to disk (an individual approach may never probe the
-        // inverted index, e.g. a pool-free baseline with exact matching).
-        let misses: u64 = disk_outcomes
-            .iter()
-            .map(|o| {
-                o.report
-                    .store
-                    .as_ref()
-                    .expect("disk runs report store stats")
-                    .stats
-                    .misses
-            })
-            .sum();
-        assert!(misses > 0, "pages must have been read from disk");
     }
 
     #[test]

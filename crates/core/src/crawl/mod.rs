@@ -112,11 +112,6 @@ pub struct CrawlReport {
     /// in the interface stack). Pure profile, like `cache`: never folded
     /// into result digests.
     pub pipeline: Option<session::PipelineStats>,
-    /// Page-cache activity of the on-disk index backend — `None` on the
-    /// (default) RAM backend. Attached by the bench harness after the
-    /// crawl; cache statistics are schedule-dependent, so they are
-    /// reported but never folded into result digests.
-    pub store: Option<smartcrawl_store::StoreReport>,
 }
 
 impl CrawlReport {

@@ -97,6 +97,4 @@ pub use pool::{PoolConfig, PoolStats, QueryPool};
 pub use query::Query;
 pub use sample::SampleIndex;
 pub use select::{probe_engine_setup, DeltaRemoval, SelectionStats, SetupProbe, Strategy};
-pub use smartcrawl_store::{
-    IndexBackendConfig, StoreConfig, StorePartition, StoreReport, StoreStats,
-};
+pub use smartcrawl_store::{StoreConfig, StorePartition, StoreReport, StoreStats};

@@ -1,63 +1,35 @@
 //! The local database `D` and matching returned pages against it.
 
 use crate::context::TextContext;
+use smartcrawl_index::InvertedIndex;
 use smartcrawl_match::Matcher;
-use smartcrawl_store::{AnyForward, AnyPostings, IndexBackendConfig, StoreReport, StoreRuntime};
 use smartcrawl_text::similarity::jaccard;
 use smartcrawl_text::{Document, Record, RecordId, TokenId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// The indexed local database: records, their documents, and an inverted
-/// index for query-frequency computation (`|q(D)|`, paper Fig. 3(a)).
-/// The index is either RAM-resident (the default) or the paged on-disk
-/// backend of `smartcrawl-store`, selected per run via
-/// [`IndexBackendConfig`]; both produce identical match sets, so every
-/// caller is backend-oblivious.
+/// The indexed local database: records, their documents, and an in-RAM
+/// inverted index for query-frequency computation (`|q(D)|`, paper
+/// Fig. 3(a)).
 #[derive(Debug)]
 pub struct LocalDb {
     records: Vec<Record>,
     docs: Vec<Document>,
-    index: AnyPostings,
-    /// Owns the on-disk files and cache budget when the disk backend is
-    /// active; `None` on the RAM path.
-    store: Option<Arc<StoreRuntime>>,
+    index: InvertedIndex,
 }
 
 impl LocalDb {
-    /// Tokenizes and indexes `records` into `ctx`'s shared vocabulary
-    /// (RAM backend).
+    /// Tokenizes and indexes `records` into `ctx`'s shared vocabulary.
     pub fn build(records: Vec<Record>, ctx: &mut TextContext) -> Self {
-        match Self::build_with(records, ctx, &IndexBackendConfig::Ram) {
-            Ok(db) => db,
-            // The RAM path cannot fail (no I/O); keep the historical
-            // infallible signature for the dozens of existing call sites.
-            // lint:allow(panic-freedom) unreachable: the Ram arm performs no I/O
-            Err(e) => panic!("RAM index build failed: {e}"),
-        }
-    }
-
-    /// Tokenizes and indexes `records` with an explicit index backend.
-    pub fn build_with(
-        records: Vec<Record>,
-        ctx: &mut TextContext,
-        backend: &IndexBackendConfig,
-    ) -> Result<Self, smartcrawl_store::StoreError> {
         let docs: Vec<Document> = records
             .iter()
             .map(|r| ctx.doc_of_fields(r.fields()))
             .collect();
-        let store = match backend {
-            IndexBackendConfig::Ram => None,
-            IndexBackendConfig::Disk(config) => Some(StoreRuntime::create(config.clone())?),
-        };
-        let index = AnyPostings::build(&docs, ctx.vocab.len(), store.as_deref())?;
-        Ok(Self {
+        let index = InvertedIndex::build(&docs, ctx.vocab.len());
+        Self {
             records,
             docs,
             index,
-            store,
-        })
+        }
     }
 
     /// Number of local records `|D|`.
@@ -85,24 +57,9 @@ impl LocalDb {
         &self.docs
     }
 
-    /// The inverted index over `D` (RAM or disk).
-    pub fn index(&self) -> &AnyPostings {
+    /// The inverted index over `D`.
+    pub fn index(&self) -> &InvertedIndex {
         &self.index
-    }
-
-    /// Builds the forward index (record → queries) on the same backend as
-    /// the inverted index, so a disk-backed run keeps `Σ|F(d)|` on disk
-    /// too.
-    pub fn build_forward(
-        &self,
-        query_matches: &[Vec<RecordId>],
-    ) -> Result<AnyForward, smartcrawl_store::StoreError> {
-        AnyForward::build(self.len(), query_matches, self.store.as_deref())
-    }
-
-    /// Page-cache activity of the disk backend (`None` on the RAM path).
-    pub fn store_report(&self) -> Option<StoreReport> {
-        self.store.as_ref().map(|rt| rt.report())
     }
 }
 
@@ -163,7 +120,7 @@ impl<'a> LocalMatchIndex<'a> {
                 by_rarity.sort_unstable_by_key(|&t| (self.db.index.doc_frequency(t), t));
                 let mut candidates: Vec<RecordId> = Vec::new();
                 for &t in by_rarity.iter().take(prefix_len.min(by_rarity.len())) {
-                    self.db.index.postings_into(t, &mut candidates);
+                    candidates.extend_from_slice(self.db.index.postings(t));
                 }
                 candidates.sort_unstable();
                 candidates.dedup();

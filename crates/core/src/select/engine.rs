@@ -15,10 +15,9 @@ use crate::pool::QueryPool;
 use crate::sample::SampleIndex;
 use crate::select::{DeltaRemoval, Strategy};
 use smartcrawl_hidden::{HiddenDb, Retrieved};
-use smartcrawl_index::{LazyQueue, QueryId, RemovalScratch};
+use smartcrawl_index::{ForwardIndex, LazyQueue, QueryId, RemovalScratch};
 use smartcrawl_match::Matcher;
 use smartcrawl_par::{par_map, par_map_indexed};
-use smartcrawl_store::AnyForward;
 use smartcrawl_text::RecordId;
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,7 +72,7 @@ pub(crate) struct Engine<'a> {
     local: &'a LocalDb,
     match_index: LocalMatchIndex<'a>,
     pool: QueryPool,
-    forward: AnyForward,
+    forward: ForwardIndex,
     queue: LazyQueue,
     /// Records still in `D` (not covered, not ΔD-removed).
     live: Vec<bool>,
@@ -155,14 +154,7 @@ impl<'a> Engine<'a> {
         let matched_cnt: Vec<u32> = par_map(pool.all_matches(), |m| {
             m.iter().filter(|rid| sample_match[rid.index()]).count() as u32
         });
-        // Same backend as the inverted index: a disk-backed run keeps the
-        // forward rows on disk too. A build failure at this point means
-        // the store directory vanished between index and engine setup.
-        let forward = match local.build_forward(pool.all_matches()) {
-            Ok(f) => f,
-            // lint:allow(panic-freedom) setup-time store failure is fatal by design
-            Err(e) => panic!("forward index build failed: {e}"),
-        };
+        let forward = ForwardIndex::build(local.len(), pool.all_matches());
         let estimator = match strategy {
             Strategy::Est { kind, .. } => Some(
                 Estimator::new(kind, k, sample.theta(), local.len(), sample.len())
@@ -576,8 +568,7 @@ impl<'a> Engine<'a> {
                 stats.incremental_updates += 1;
             }
         }
-        stats.forward_touches += smartcrawl_index::remove_records_batch(
-            forward,
+        stats.forward_touches += forward.remove_records(
             rids,
             |rid| sample_match[rid.index()],
             removal_scratch,

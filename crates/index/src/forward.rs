@@ -106,18 +106,44 @@ impl ForwardIndex {
     /// deterministic input order. Returns `Σ |F(d)|` over the batch (the
     /// incidence count the removal walked, coalesced or not), so existing
     /// forward-touch accounting is preserved.
-    /// Delegates to [`crate::backend::remove_records_batch`] — the one
-    /// coalescing implementation shared by every
-    /// [`ForwardBackend`](crate::backend::ForwardBackend), so the RAM and
-    /// disk removal orders cannot diverge.
     pub fn remove_records(
         &self,
         records: &[RecordId],
-        weighted: impl FnMut(RecordId) -> bool,
+        mut weighted: impl FnMut(RecordId) -> bool,
         scratch: &mut RemovalScratch,
-        apply: impl FnMut(QueryId, u32, u32),
+        mut apply: impl FnMut(QueryId, u32, u32),
     ) -> usize {
-        crate::backend::remove_records_batch(self, records, weighted, scratch, apply)
+        scratch.resize(self.num_queries);
+        let mut incidences = 0usize;
+        for &rid in records {
+            let row = self.queries_of(rid);
+            incidences += row.len();
+            if row.is_empty() {
+                continue;
+            }
+            let w = weighted(rid);
+            for &q in row {
+                let i = q.index();
+                if scratch.count[i] == 0 {
+                    scratch.touched.push(q.0);
+                }
+                scratch.count[i] += 1;
+                if w {
+                    scratch.weighted[i] += 1;
+                }
+            }
+        }
+        // Indexed loop: `apply` may re-borrow the caller's world, and we
+        // must reset the scratch counters as we drain.
+        for t in 0..scratch.touched.len() {
+            let q = QueryId(scratch.touched[t]);
+            let i = q.index();
+            apply(q, scratch.count[i], scratch.weighted[i]);
+            scratch.count[i] = 0;
+            scratch.weighted[i] = 0;
+        }
+        scratch.touched.clear();
+        incidences
     }
 }
 
@@ -128,16 +154,14 @@ impl ForwardIndex {
 /// by clearing the dense arrays).
 #[derive(Debug, Clone, Default)]
 pub struct RemovalScratch {
-    pub(crate) count: Vec<u32>,
-    pub(crate) weighted: Vec<u32>,
-    pub(crate) touched: Vec<u32>,
-    /// Row buffer for backends that must copy `F(d)` out (disk reads).
-    pub(crate) row: Vec<QueryId>,
+    count: Vec<u32>,
+    weighted: Vec<u32>,
+    touched: Vec<u32>,
 }
 
 impl RemovalScratch {
     /// Ensures the dense counters cover query ids `0..num_queries`.
-    pub(crate) fn resize(&mut self, num_queries: usize) {
+    fn resize(&mut self, num_queries: usize) {
         if self.count.len() < num_queries {
             self.count.resize(num_queries, 0);
             self.weighted.resize(num_queries, 0);

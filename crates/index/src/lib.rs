@@ -11,19 +11,14 @@
 //! * a [`LazyQueue`] — a max-priority queue with a delta-update mechanism
 //!   that defers priority recomputation until a query actually reaches the
 //!   top (Fig. 3(c), Algorithm 4 lines 16–27).
-
 //!
-//! The [`backend`] module abstracts the first two behind storage-agnostic
-//! traits ([`PostingsBackend`], [`ForwardBackend`]) so the same selection
-//! call sites can run against these in-RAM structures or the paged
-//! on-disk substrate in `smartcrawl-store`.
+//! As in the paper, all three live in RAM: `D` and `Hs` are the small
+//! side of a crawl.
 
-pub mod backend;
 pub mod forward;
 pub mod inverted;
 pub mod lazy_queue;
 
-pub use backend::{remove_records_batch, ForwardBackend, PostingsBackend};
 pub use forward::{ForwardIndex, RemovalScratch};
 pub use inverted::InvertedIndex;
 pub use lazy_queue::LazyQueue;

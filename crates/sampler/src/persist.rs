@@ -70,10 +70,12 @@ pub fn load_sample(path: impl AsRef<Path>) -> std::io::Result<HiddenSample> {
         let id: u64 = cells[0].parse().map_err(|_| bad("bad external id"))?;
         let nf: usize = cells[1].parse().map_err(|_| bad("bad field count"))?;
         let np: usize = cells[2].parse().map_err(|_| bad("bad payload count"))?;
-        if cells.len() != 3 + nf + np {
+        // The counts are outside input: checked, so a crafted count can
+        // neither overflow nor wrap into a passing arity check.
+        if nf.checked_add(np).and_then(|n| n.checked_add(3)) != Some(cells.len()) {
             return Err(bad("record arity mismatch"));
         }
-        let mut texts = Vec::with_capacity(nf + np);
+        let mut texts = Vec::with_capacity(cells.len() - 3);
         for cell in &cells[3..] {
             texts.push(unescape(cell).ok_or_else(|| bad("bad escape sequence"))?);
         }
@@ -137,6 +139,19 @@ mod tests {
         )
         .unwrap();
         assert!(load_sample(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rejects_counts_that_overflow_the_arity_sum() {
+        let path = tmp("overflow");
+        std::fs::write(
+            &path,
+            format!("{MAGIC}\ntheta\t0.5\n1\t18446744073709551615\t1\n"),
+        )
+        .unwrap();
+        let err = load_sample(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,9 +1,11 @@
-//! `smartcrawl-store`: the out-of-core index substrate.
+//! `smartcrawl-store`: the out-of-core storage substrate.
 //!
-//! The paper's efficient implementation assumes the inverted and forward
-//! indexes fit in RAM, which caps the reproduction at ~10⁵ hidden
-//! records. This crate lifts that cap with a paged, versioned,
-//! checksummed on-disk storage layer:
+//! The paper's efficient implementation keeps its indexes in RAM, which
+//! caps the hidden database at what one process can hold. This crate is
+//! the paged, versioned, checksummed on-disk layer under the disk-backed
+//! hidden database (`smartcrawl-hidden`) and the query-cache files
+//! (`smartcrawl-cache`). The crawler's own side — the local database `D`
+//! and the sample `Hs` — stays in RAM.
 //!
 //! * [`file`] — the block/offset file layout: fixed-size pages behind a
 //!   versioned header, each page guarded by a word-wise 64-bit checksum
@@ -21,35 +23,20 @@
 //! * [`blob`] — a byte-stream abstraction over the paged file: encoded
 //!   lists are appended back to back (straddling page boundaries) and
 //!   addressed by compact [`Locator`](blob::Locator)s.
-//! * [`inverted`] / [`forward`] — the disk backends proper: a
-//!   horizontally sharded inverted index queried shard-parallel via
-//!   `smartcrawl-par` and merged deterministically (shards are contiguous
-//!   record-id ranges, so concatenation in shard order *is* the sorted
-//!   union), and a paged CSR forward index.
-//! * [`backend`] — the [`AnyPostings`]/[`AnyForward`] dispatch enums and
-//!   the [`StoreRuntime`] owning the on-disk files, their cache budget,
-//!   and shared access statistics.
-//!
-//! Both backends implement the `smartcrawl-index` backend traits; a
-//! conjunctive query's match set is a set intersection — unique — so the
-//! disk backend is digest-identical to the RAM backend by construction,
-//! which the workspace's acceptance tests assert at every thread count.
+//! * [`backend`] — the [`StoreRuntime`] owning the on-disk files, their
+//!   cache budget, and shared access statistics.
 
 pub mod backend;
 pub mod blob;
 pub mod cache;
 pub mod file;
 pub mod format;
-pub mod forward;
-pub mod inverted;
 pub mod postings;
 
-pub use backend::{AnyForward, AnyPostings, IndexBackendConfig, StoreRuntime};
+pub use backend::StoreRuntime;
 pub use blob::{BlobReader, BlobWriter, Locator};
 pub use cache::{PageCache, SharedStats};
 pub use file::{PagedReader, PagedWriter};
-pub use forward::DiskForwardIndex;
-pub use inverted::DiskInvertedIndex;
 
 use std::path::PathBuf;
 
@@ -129,14 +116,11 @@ pub fn expect_store<T>(r: Result<T>, what: &str) -> T {
 pub struct StoreConfig {
     /// On-disk page size in bytes (payload capacity is 12 bytes less).
     pub page_size: usize,
-    /// Total page-cache budget, in pages, shared by every index the
+    /// Total page-cache budget, in pages, shared by every cache the
     /// runtime hosts. The default is a ~50 MB-class cache
     /// (12800 × 4 KiB), the resident-memory bound the out-of-core claim
     /// is about.
     pub cache_pages: usize,
-    /// Number of horizontal shards for the inverted index (contiguous
-    /// record-id ranges queried in parallel).
-    pub shards: usize,
     /// Directory for the store files. `None` (the default) creates a
     /// unique directory under the system temp dir and removes it when the
     /// runtime drops.
@@ -148,7 +132,6 @@ impl Default for StoreConfig {
         Self {
             page_size: 4096,
             cache_pages: 12_800,
-            shards: 4,
             dir: None,
         }
     }
@@ -215,13 +198,13 @@ impl StorePartition {
     }
 }
 
-/// What a run reports about its disk backend: the configured bounds plus
-/// the observed cache activity. Attached to `CrawlReport`s by the bench
-/// harness so the out-of-core claim is tracked, not anecdotal.
+/// What a disk-backed hidden database reports about its store: the
+/// configured bounds plus the observed cache activity, so the out-of-core
+/// claim is tracked, not anecdotal.
 ///
-/// Cache *statistics* are schedule-dependent when shards are probed from
-/// concurrent workers (hit/miss interleavings vary), so they are reported
-/// but never folded into any result digest.
+/// Cache *statistics* are schedule-dependent when prefetch workers read
+/// the store concurrently (hit/miss interleavings vary), so they are
+/// reported but never folded into any result digest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreReport {
     /// Configured page size in bytes.
@@ -236,8 +219,7 @@ pub struct StoreReport {
     pub records: StoreStats,
     /// The aux partition's share of `stats`.
     pub aux: StoreStats,
-    /// The staging partition's share of `stats`. Caches outside the four
-    /// partitions (the crawler-side disk index) count in `stats` only.
+    /// The staging partition's share of `stats`.
     pub staging: StoreStats,
 }
 

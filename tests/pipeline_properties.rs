@@ -2,19 +2,20 @@
 //! prefetching must be *invisible* at the result level. For every
 //! approach, the crawl digest at pipeline depths {2, 4, 8} — with real
 //! worker threads and in inline fallback mode — must be byte-identical
-//! to the strictly sequential run, on the RAM indexes, on the out-of-core
-//! disk store, and through the flaky-interface retry stack. This is the
-//! tentpole contract: all stateful accounting (budget, failure draws,
-//! cache) happens at commit time on the driver thread in issue order, so
-//! overlap can only move wall-clock, never results.
+//! to the strictly sequential run, on the RAM world, on a world whose
+//! hidden database lives in the out-of-core disk store, and through the
+//! flaky-interface retry stack. This is the tentpole contract: all
+//! stateful accounting (budget, failure draws, cache) happens at commit
+//! time on the driver thread in issue order, so overlap can only move
+//! wall-clock, never results.
 
 use smartcrawl_bench::harness::{
-    digest_outcomes, run_approach_flaky, run_approach_report, Approach, RunSpec,
+    digest_outcomes, run_approach_flaky, run_approach_report, Approach, RunOutcome, RunSpec,
 };
-use smartcrawl_core::{IndexBackendConfig, StoreConfig};
 use smartcrawl_data::{Scenario, ScenarioConfig};
 use smartcrawl_hidden::RetryPolicy;
 use smartcrawl_par::with_threads;
+use smartcrawl_store::{StoreConfig, StoreRuntime};
 
 const APPROACHES: [Approach; 7] = [
     Approach::Ideal,
@@ -26,13 +27,12 @@ const APPROACHES: [Approach; 7] = [
     Approach::Full,
 ];
 
-fn specs(depth: usize, backend: &IndexBackendConfig) -> Vec<RunSpec> {
+fn specs(depth: usize) -> Vec<RunSpec> {
     APPROACHES
         .iter()
         .map(|&a| {
             let mut spec = RunSpec::new(a, 15);
             spec.theta = 0.05;
-            spec.backend = backend.clone();
             spec.pipeline_depth = depth;
             spec
         })
@@ -44,28 +44,26 @@ fn specs(depth: usize, backend: &IndexBackendConfig) -> Vec<RunSpec> {
 /// `par_map` worker, where the pipeline degrades to inline mode — the
 /// overlapped path would never be exercised. Running on the main thread
 /// with a thread budget > 1 gives the pipeline real workers.
+fn outcomes_on_main(scenario: &Scenario, specs: &[RunSpec]) -> Vec<RunOutcome> {
+    specs
+        .iter()
+        .map(|spec| run_approach_report(scenario, spec))
+        .collect()
+}
+
 fn run_on_main(scenario: &Scenario, specs: &[RunSpec]) -> u64 {
-    digest_outcomes(
-        &specs
-            .iter()
-            .map(|spec| run_approach_report(scenario, spec))
-            .collect::<Vec<_>>(),
-    )
+    digest_outcomes(&outcomes_on_main(scenario, specs))
 }
 
 #[test]
 fn pipelined_digests_match_sequential_at_every_depth_and_thread_count() {
     let scenario = Scenario::build(ScenarioConfig::tiny(13));
-    let reference = with_threads(1, || {
-        run_on_main(&scenario, &specs(1, &IndexBackendConfig::Ram))
-    });
+    let reference = with_threads(1, || run_on_main(&scenario, &specs(1)));
     for depth in [1usize, 2, 4, 8] {
         for threads in [1usize, 4] {
             // threads = 1 leaves no worker budget, so the pipeline takes
             // its inline fallback; threads = 4 runs real prefetch workers.
-            let digest = with_threads(threads, || {
-                run_on_main(&scenario, &specs(depth, &IndexBackendConfig::Ram))
-            });
+            let digest = with_threads(threads, || run_on_main(&scenario, &specs(depth)));
             assert_eq!(
                 digest, reference,
                 "pipeline depth {depth} @ {threads} threads diverged from \
@@ -77,26 +75,38 @@ fn pipelined_digests_match_sequential_at_every_depth_and_thread_count() {
 
 #[test]
 fn pipelined_digests_match_sequential_on_the_disk_backend() {
-    let scenario = Scenario::build(ScenarioConfig::tiny(13));
-    let reference = with_threads(1, || {
-        run_on_main(&scenario, &specs(1, &IndexBackendConfig::Ram))
-    });
-    // Small pages and a tight cache: eviction churn concurrent with
-    // speculative prefetching is the configuration most likely to betray
-    // an ordering bug.
-    let disk = IndexBackendConfig::Disk(StoreConfig {
-        page_size: 128,
-        cache_pages: 10,
-        shards: 3,
-        ..Default::default()
-    });
+    let ram = Scenario::build(ScenarioConfig::tiny(13));
+    let reference = with_threads(1, || run_on_main(&ram, &specs(1)));
+    // Small pages and a tight cache: prefetch workers reading the hidden
+    // store's shared page cache while the driver evicts from it is the
+    // configuration most likely to betray an ordering bug.
+    let runtime = StoreRuntime::create(StoreConfig {
+        page_size: 256,
+        cache_pages: 8,
+        dir: None,
+    })
+    .expect("create store runtime");
+    let disk =
+        Scenario::build_with_store(ScenarioConfig::tiny(13), runtime).expect("stream scenario");
     for depth in [1usize, 4] {
-        let digest = with_threads(4, || run_on_main(&scenario, &specs(depth, &disk)));
+        let outcomes = with_threads(4, || outcomes_on_main(&disk, &specs(depth)));
         assert_eq!(
-            digest, reference,
-            "disk backend at pipeline depth {depth} diverged from the \
+            digest_outcomes(&outcomes),
+            reference,
+            "disk store at pipeline depth {depth} diverged from the \
              sequential RAM run"
         );
+        if depth > 1 {
+            let prefetches: usize = outcomes
+                .iter()
+                .filter_map(|o| o.report.pipeline.as_ref())
+                .map(|p| p.prefetches)
+                .sum();
+            assert!(
+                prefetches > 0,
+                "depth {depth} must prefetch against the disk store"
+            );
+        }
     }
 }
 
@@ -110,11 +120,9 @@ fn pipelined_digests_match_sequential_through_the_flaky_retry_stack() {
     let flaky_digest = |depth: usize, threads: usize| {
         with_threads(threads, || {
             digest_outcomes(
-                &specs(depth, &IndexBackendConfig::Ram)
+                &specs(depth)
                     .iter()
-                    .map(|spec| {
-                        run_approach_flaky(&scenario, spec, 0.2, RetryPolicy::standard())
-                    })
+                    .map(|spec| run_approach_flaky(&scenario, spec, 0.2, RetryPolicy::standard()))
                     .collect::<Vec<_>>(),
             )
         })
