@@ -106,10 +106,11 @@ pub struct CrawlReport {
     /// interface stack. Always this run's *delta*, even when the cache
     /// store is shared across runs (warm sweeps).
     pub cache: Option<smartcrawl_hidden::CacheStats>,
-    /// Speculation accounting of the pipelined driver — `None` for
-    /// sequential runs (pipeline depth 1, or no
+    /// Speculation accounting of a pipelined run — `None` when the session
+    /// did not speculate (pipeline depth 1, or no
     /// [`prefetch_handle`](smartcrawl_hidden::SearchInterface::prefetch_handle)
-    /// in the interface stack). Pure profile, like `cache`: never folded
+    /// in the interface stack); `Some` at every depth above 1, whatever
+    /// the thread budget. Pure profile, like `cache`: never folded
     /// into result digests.
     pub pipeline: Option<session::PipelineStats>,
 }

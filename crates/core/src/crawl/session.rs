@@ -19,18 +19,21 @@
 //! | [`PopulateSource`](super::PopulateSource) | row population |
 //!
 //! Robustness and observability improvements land here once and apply to
-//! every approach; later batching/async/caching work has exactly one loop
-//! to touch.
+//! every approach. The loop is also the only driver for every pipeline
+//! depth: sequential crawling is depth 1, and at depth > 1 the same loop
+//! additionally keeps a window of speculative searches on worker threads
+//! (see [`CrawlSession::run`]).
 
 use crate::crawl::observe::{CrawlEvent, CrawlObserver, EventCounts, EventStamp};
 use crate::crawl::{CrawlReport, CrawlStep, EnrichedPair};
 use crate::local::{LocalDb, LocalMatchIndex};
 use crate::select::engine::{Engine, ProcessOutcome, SelectionStats};
 use smartcrawl_hidden::{
-    HiddenDb, RetryPolicy, Retrieved, SearchError, SearchInterface, SearchPage,
+    CacheStats, RetryPolicy, Retrieved, SearchError, SearchInterface, SearchPage,
 };
 use smartcrawl_index::QueryId;
 use smartcrawl_match::Matcher;
+use smartcrawl_par::PipelineHandle;
 use std::time::Instant;
 
 /// Wall-clock nanoseconds spent in each phase of the crawl loop, plus the
@@ -62,11 +65,11 @@ impl PhaseTimings {
 /// with an interface stack that exposes a
 /// [`prefetch_handle`](SearchInterface::prefetch_handle)). Pure profile:
 /// none of these numbers feed back into any crawl decision, and the crawl
-/// trajectory is byte-identical to the sequential driver's at every depth.
+/// trajectory is byte-identical to the depth-1 run's at every depth.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// The pipeline depth the session ran at (≥ 2; depth 1 runs the
-    /// sequential driver and reports no pipeline section).
+    /// The pipeline depth the session ran at (≥ 2; a depth-1 run never
+    /// speculates and reports no pipeline section).
     pub depth: usize,
     /// Speculative searches handed to the worker pipeline.
     pub prefetches: usize,
@@ -77,24 +80,26 @@ pub struct PipelineStats {
     pub mispredicts: usize,
     /// Speculations still in flight when the session ended.
     pub discarded: usize,
-    /// Wall time workers spent computing speculative pages, in
-    /// nanoseconds. Overlapped work: compare against `wait_ns` for the
-    /// realized overlap ratio.
+    /// Worker wall time of the speculative pages the driver took (the
+    /// `prefetch_hits`), in nanoseconds. The worker time of mispredicted
+    /// and discarded speculations is not counted. Overlapped work: compare
+    /// against `wait_ns` for the realized overlap ratio.
     pub worker_search_ns: u64,
     /// Wall time the driver spent blocked waiting for a speculative page
     /// it wanted to commit, in nanoseconds.
     pub wait_ns: u64,
     /// Wall time spent computing hint batches
     /// ([`QuerySource::next_queries`]), in nanoseconds — the price of
-    /// speculation, kept out of `selection_ns` so sequential and pipelined
+    /// speculation, kept out of `selection_ns` so depth-1 and pipelined
     /// phase profiles stay comparable.
     pub speculation_ns: u64,
 }
 
 impl PipelineStats {
-    /// Fraction of worker search time that did not stall the driver:
-    /// `(worker_search_ns − wait_ns) / worker_search_ns`, clamped at 0.
-    /// 1.0 means every committed page was ready before the driver asked.
+    /// Fraction of the taken pages' worker search time that did not stall
+    /// the driver: `(worker_search_ns − wait_ns) / worker_search_ns`,
+    /// clamped at 0. 1.0 means every committed page was ready before the
+    /// driver asked. Wasted speculations do not enter the ratio.
     pub fn overlap_ratio(&self) -> f64 {
         if self.worker_search_ns == 0 {
             return 0.0;
@@ -143,7 +148,8 @@ pub trait QuerySource {
 
     /// A non-binding forecast of the next up-to-`m` queries this source
     /// expects [`QuerySource::next_query`] to return, best first — the
-    /// batch-selection hook the pipelined driver speculates on.
+    /// batch-selection hook a pipelined run speculates on. Never called at
+    /// pipeline depth 1.
     ///
     /// Contract: *peek, don't consume*. The source's state must be
     /// unchanged afterwards, and every query is still issued through the
@@ -231,25 +237,31 @@ impl CrawlSession {
     /// Drives `source` against `iface` until a stop condition, reporting
     /// every step, enrichment pair, phase timing, and event count.
     ///
-    /// With a pipeline depth > 1 in scope
-    /// ([`with_pipeline_depth`](smartcrawl_par::with_pipeline_depth)) and
-    /// an interface stack exposing a
-    /// [`prefetch_handle`](SearchInterface::prefetch_handle), the session
-    /// runs the pipelined driver instead — byte-identical trajectory,
-    /// overlapped search latency, and a
-    /// [`pipeline`](CrawlReport::pipeline) section in the report.
+    /// This is the only crawl loop; a sequential crawl is its depth-1
+    /// case. With a pipeline depth > 1 in scope
+    /// ([`with_pipeline_depth`](smartcrawl_par::with_pipeline_depth)) and a
+    /// [`prefetch_handle`](SearchInterface::prefetch_handle) in the
+    /// interface stack, the loop also speculates: workers compute pages for
+    /// the source's forecast ([`QuerySource::next_queries`]) while this
+    /// thread selects, matches and removes, and the report gains a
+    /// [`pipeline`](CrawlReport::pipeline) section.
+    ///
+    /// Determinism (DESIGN.md §14): workers compute *pages only*, from the
+    /// bottom of the interface stack, which has no interior mutability.
+    /// Every stateful step happens on this thread, in issue order:
+    /// [`QuerySource::next_query`] picks each query; a speculative page is
+    /// committed through [`SearchInterface::commit_prefetched`], which every
+    /// wrapper (budget meter, cache, fault injector) makes observably
+    /// identical to [`SearchInterface::search`]; fault draws are keyed on
+    /// the ordinal from [`SearchInterface::begin_query`], not on call
+    /// order. Results are claimed by ticket, so the report is
+    /// byte-identical at every depth and thread count.
     pub fn run<S: QuerySource + ?Sized, I: SearchInterface>(
         &self,
         source: &mut S,
         iface: &mut I,
         observer: &mut dyn CrawlObserver,
     ) -> CrawlReport {
-        let depth = smartcrawl_par::current_pipeline_depth();
-        if depth > 1 {
-            if let Some(db) = iface.prefetch_handle() {
-                return self.run_pipelined(source, iface, observer, depth, db);
-            }
-        }
         let mut ins = Instrument {
             // lint:allow(determinism) wall time feeds event timestamps only, never selection
             start: Instant::now(),
@@ -257,22 +269,78 @@ impl CrawlSession {
             counts: EventCounts::default(),
             observer,
         };
-        let k = iface.k();
         let mut report = CrawlReport::default();
-        let mut timing = PhaseTimings::default();
-        // Transient attempts charged to the budget on top of served steps.
-        let mut failed_attempts = 0usize;
-        // Ordinal of the next issued query (counts every QueryIssued,
-        // including queries later dropped after retry exhaustion). Keys
-        // the interface stack's per-query state (fault-injection draws)
-        // so sequential and pipelined runs burn identical randomness.
-        let mut issued_ordinal = 0usize;
         // Counter snapshot of any query-result cache in the interface
         // stack: per-query hit/miss events diff against it, and the report
         // carries this run's delta even when the store is shared.
         let cache_at_start = iface.cache_stats();
+        let depth = smartcrawl_par::current_pipeline_depth();
+        let db = if depth > 1 { iface.prefetch_handle() } else { None };
+
+        let mut drive = |spec: Option<&mut Speculation<'_>>| {
+            self.drive(source, iface, &mut ins, &mut report, cache_at_start, spec)
+        };
+        let (failed_attempts, pipeline) = match db {
+            None => (drive(None), None),
+            Some(db) => smartcrawl_par::run_pipeline(
+                depth,
+                |keywords: Vec<String>| {
+                    // Pure page computation; timed so the report can show
+                    // how much search latency the overlap absorbed.
+                    let t = Instant::now();
+                    let page = SearchPage { records: db.search(&keywords) };
+                    (page, t.elapsed().as_nanos() as u64)
+                },
+                |pipe| {
+                    let stats = PipelineStats { depth, ..Default::default() };
+                    let mut spec = Speculation { pipe, in_flight: Vec::new(), stats };
+                    let failed = drive(Some(&mut spec));
+                    (failed, Some(spec.finish()))
+                },
+            ),
+        };
+        report.pipeline = pipeline;
+
+        if report.steps.len() + failed_attempts >= self.budget
+            && ins.counts.budget_exhausted == 0
+        {
+            ins.emit(CrawlEvent::BudgetExhausted);
+        }
+        report.selection = source.selection_stats();
+        report.events = ins.counts;
+        if let (Some(start), Some(end)) = (cache_at_start, iface.cache_stats()) {
+            report.cache = Some(end.since(&start));
+        }
+        report
+    }
+
+    /// The budget loop of [`CrawlSession::run`]: select, issue, search (or
+    /// commit a speculative page), observe, record the step. `spec` is
+    /// `Some` only for a pipelined run. Returns the number of failed
+    /// transient attempts charged to the budget on top of served steps.
+    fn drive<S: QuerySource + ?Sized, I: SearchInterface>(
+        &self,
+        source: &mut S,
+        iface: &mut I,
+        ins: &mut Instrument<'_>,
+        report: &mut CrawlReport,
+        cache_at_start: Option<CacheStats>,
+        mut spec: Option<&mut Speculation<'_>>,
+    ) -> usize {
+        let k = iface.k();
+        let timing = &mut report.timing;
+        let mut failed_attempts = 0usize;
+        // Ordinal of the next issued query (counts every QueryIssued,
+        // including queries later dropped after retry exhaustion). Keys
+        // the interface stack's per-query state (fault-injection draws)
+        // so runs at every pipeline depth burn identical randomness.
+        let mut issued_ordinal = 0usize;
 
         'session: while report.steps.len() + failed_attempts < self.budget {
+            if let Some(spec) = spec.as_deref_mut() {
+                let spent = report.steps.len() + failed_attempts;
+                spec.refill(source, report.steps.len(), self.budget - spent);
+            }
             let t = Instant::now();
             let next = source.next_query(report.steps.len());
             timing.selection_ns += t.elapsed().as_nanos() as u64;
@@ -282,13 +350,20 @@ impl CrawlSession {
             ins.emit(CrawlEvent::QueryIssued { terms: keywords.len() });
             iface.begin_query(issued_ordinal);
             issued_ordinal += 1;
+            let prefetched = spec.as_deref_mut().and_then(|s| s.claim(&keywords));
 
             let mut attempt = 0usize;
             let page = loop {
                 let hits_before =
                     cache_at_start.and_then(|_| iface.cache_stats()).map(|s| s.hits);
                 let t = Instant::now();
-                let result = iface.search(&keywords);
+                // Retries re-commit the same speculative page: against the
+                // deterministic engine that is equivalent to re-searching,
+                // and the accounting stack charges/draws identically.
+                let result = match &prefetched {
+                    Some(page) => iface.commit_prefetched(&keywords, page),
+                    None => iface.search(&keywords),
+                };
                 timing.search_ns += t.elapsed().as_nanos() as u64;
                 match result {
                     Ok(page) => {
@@ -345,232 +420,72 @@ impl CrawlSession {
                 full_page: page.is_full(k),
             });
         }
+        failed_attempts
+    }
+}
 
-        if report.steps.len() + failed_attempts >= self.budget
-            && ins.counts.budget_exhausted == 0
-        {
-            ins.emit(CrawlEvent::BudgetExhausted);
+/// The speculation window of a pipelined run: prefetch tickets for the
+/// source's forecast, and their accounting.
+struct Speculation<'p> {
+    pipe: &'p PipelineHandle<'p, Vec<String>, (SearchPage, u64)>,
+    /// Speculations in flight: `(keywords, ticket)`, oldest first, at most
+    /// `depth` entries.
+    in_flight: Vec<(Vec<String>, u64)>,
+    stats: PipelineStats,
+}
+
+impl Speculation<'_> {
+    /// Refills the window from the source's current forecast: cancels
+    /// in-flight entries it no longer predicts, then submits new ones, never
+    /// more than `left`, the remaining budget (those could only be discarded).
+    fn refill<S: QuerySource + ?Sized>(&mut self, source: &mut S, issued: usize, left: usize) {
+        let t = Instant::now();
+        let hints = source.next_queries(issued, self.stats.depth);
+        self.stats.speculation_ns += t.elapsed().as_nanos() as u64;
+        let (pipe, stats) = (self.pipe, &mut self.stats);
+        self.in_flight.retain(|(kw, ticket)| {
+            let predicted = hints.contains(kw);
+            if !predicted {
+                pipe.forget(*ticket);
+                stats.mispredicts += 1;
+            }
+            predicted
+        });
+        let window = self.stats.depth.min(left);
+        for kw in hints {
+            if self.in_flight.len() >= window {
+                break;
+            }
+            if self.in_flight.iter().any(|(q, _)| *q == kw) {
+                continue;
+            }
+            self.stats.prefetches += 1;
+            let ticket = self.pipe.submit(kw.clone());
+            self.in_flight.push((kw, ticket));
         }
-        report.selection = source.selection_stats();
-        report.timing = timing;
-        report.events = ins.counts;
-        if let (Some(start), Some(end)) = (cache_at_start, iface.cache_stats()) {
-            report.cache = Some(end.since(&start));
-        }
-        report
     }
 
-    /// The pipelined driver: overlaps speculative `HiddenDb::search` calls
-    /// (pure, side-effect free) on worker threads with selection, page
-    /// matching, and removal on this thread.
-    ///
-    /// Determinism argument, in full (DESIGN.md §14 for the prose
-    /// version): workers compute *pages only* — `db` is the bottom of the
-    /// interface stack and has no interior mutability. Every stateful step
-    /// happens here, in issue order: the authoritative
-    /// [`QuerySource::next_query`] picks each query exactly as the
-    /// sequential driver would; a speculative page is committed through
-    /// [`SearchInterface::commit_prefetched`], which every wrapper
-    /// (budget meter, cache, fault injector) implements to be observably
-    /// identical to [`SearchInterface::search`]; and fault-injection draws
-    /// are keyed on the issued-query ordinal propagated via
-    /// [`SearchInterface::begin_query`], not on call order. Completion
-    /// order of workers is unobservable — results are claimed by ticket —
-    /// so the report is byte-identical to the sequential driver's at any
-    /// depth and thread count.
-    ///
-    /// This loop must mirror [`CrawlSession::run`]'s event emission,
-    /// budget accounting, and retry handling exactly; the cross-crate
-    /// `pipeline_properties` tests hold the two drivers to byte-identical
-    /// digests for every approach.
-    fn run_pipelined<S: QuerySource + ?Sized, I: SearchInterface>(
-        &self,
-        source: &mut S,
-        iface: &mut I,
-        observer: &mut dyn CrawlObserver,
-        depth: usize,
-        db: &HiddenDb,
-    ) -> CrawlReport {
-        let mut ins = Instrument {
-            // lint:allow(determinism) wall time feeds event timestamps only, never selection
-            start: Instant::now(),
-            seq: 0,
-            counts: EventCounts::default(),
-            observer,
-        };
-        let k = iface.k();
-        let mut report = CrawlReport::default();
-        let mut timing = PhaseTimings::default();
-        let mut failed_attempts = 0usize;
-        let mut issued_ordinal = 0usize;
-        let cache_at_start = iface.cache_stats();
-        let mut pstats = PipelineStats { depth, ..Default::default() };
+    /// Claims the speculative page for `keywords` if the forecast was right
+    /// (matched by keyword equality — the engine's pages are a pure
+    /// function of the keywords), blocking until a worker has computed it.
+    fn claim(&mut self, keywords: &[String]) -> Option<SearchPage> {
+        let i = self.in_flight.iter().position(|(q, _)| q.as_slice() == keywords)?;
+        let (_, ticket) = self.in_flight.remove(i);
+        let t = Instant::now();
+        let (page, search_ns) = self.pipe.take(ticket);
+        self.stats.wait_ns += t.elapsed().as_nanos() as u64;
+        self.stats.worker_search_ns += search_ns;
+        self.stats.prefetch_hits += 1;
+        Some(page)
+    }
 
-        smartcrawl_par::run_pipeline(
-            depth,
-            |keywords: Vec<String>| {
-                // Pure page computation; timed so the driver can report
-                // how much search latency the overlap absorbed.
-                let t = Instant::now();
-                let page = SearchPage { records: db.search(&keywords) };
-                (page, t.elapsed().as_nanos() as u64)
-            },
-            |pipe| {
-                // Speculations in flight: `(keywords, ticket)`, oldest
-                // first, at most `depth` entries.
-                let mut in_flight: Vec<(Vec<String>, u64)> = Vec::new();
-                'session: while report.steps.len() + failed_attempts < self.budget {
-                    // Refill the speculation window from the source's
-                    // current forecast: cancel in-flight entries it no
-                    // longer predicts, submit the new ones.
-                    let t = Instant::now();
-                    let hints = source.next_queries(report.steps.len(), depth);
-                    pstats.speculation_ns += t.elapsed().as_nanos() as u64;
-                    let mut kept = Vec::with_capacity(in_flight.len());
-                    for (kw, ticket) in in_flight.drain(..) {
-                        if hints.contains(&kw) {
-                            kept.push((kw, ticket));
-                        } else {
-                            pipe.forget(ticket);
-                            pstats.mispredicts += 1;
-                        }
-                    }
-                    in_flight = kept;
-                    // Never speculate past the remaining budget: those
-                    // queries could only be discarded.
-                    let window = depth
-                        .min(self.budget - (report.steps.len() + failed_attempts));
-                    for kw in hints {
-                        if in_flight.len() >= window {
-                            break;
-                        }
-                        if in_flight.iter().any(|(q, _)| *q == kw) {
-                            continue;
-                        }
-                        pstats.prefetches += 1;
-                        let ticket = pipe.submit(kw.clone());
-                        in_flight.push((kw, ticket));
-                    }
-
-                    let t = Instant::now();
-                    let next = source.next_query(report.steps.len());
-                    timing.selection_ns += t.elapsed().as_nanos() as u64;
-                    let Some(keywords) = next else {
-                        break; // source exhausted: pool drained or nothing live
-                    };
-                    ins.emit(CrawlEvent::QueryIssued { terms: keywords.len() });
-                    iface.begin_query(issued_ordinal);
-                    issued_ordinal += 1;
-
-                    // Claim the speculative page if the forecast was right
-                    // (matched by keyword equality — the engine's pages
-                    // are a pure function of the keywords).
-                    let prefetched = in_flight
-                        .iter()
-                        .position(|(q, _)| *q == keywords)
-                        .map(|i| {
-                            let (_, ticket) = in_flight.remove(i);
-                            let t = Instant::now();
-                            let (page, search_ns) = pipe.take(ticket);
-                            pstats.wait_ns += t.elapsed().as_nanos() as u64;
-                            pstats.worker_search_ns += search_ns;
-                            pstats.prefetch_hits += 1;
-                            page
-                        });
-
-                    let mut attempt = 0usize;
-                    let page = loop {
-                        let hits_before =
-                            cache_at_start.and_then(|_| iface.cache_stats()).map(|s| s.hits);
-                        let t = Instant::now();
-                        // Retries re-commit the same speculative page:
-                        // against the deterministic engine that is
-                        // equivalent to re-searching, and the accounting
-                        // stack charges/draws identically either way.
-                        let result = match &prefetched {
-                            Some(page) => iface.commit_prefetched(&keywords, page),
-                            None => iface.search(&keywords),
-                        };
-                        timing.search_ns += t.elapsed().as_nanos() as u64;
-                        match result {
-                            Ok(page) => {
-                                if let Some(before) = hits_before {
-                                    let now =
-                                        iface.cache_stats().map_or(before, |s| s.hits);
-                                    if now > before {
-                                        ins.emit(CrawlEvent::CacheHit {
-                                            results: page.records.len(),
-                                        });
-                                    } else {
-                                        ins.emit(CrawlEvent::CacheMiss);
-                                    }
-                                }
-                                break page;
-                            }
-                            Err(SearchError::BudgetExhausted) => {
-                                ins.emit(CrawlEvent::BudgetExhausted);
-                                break 'session;
-                            }
-                            Err(err) => {
-                                debug_assert!(err.is_retryable());
-                                failed_attempts += 1;
-                                let budget_left =
-                                    report.steps.len() + failed_attempts < self.budget;
-                                if attempt >= self.retry.max_retries || !budget_left {
-                                    source.on_failure(&keywords);
-                                    continue 'session;
-                                }
-                                attempt += 1;
-                                timing.backoff_ticks += self.retry.backoff(attempt);
-                                ins.emit(CrawlEvent::RetryAttempted { attempt });
-                            }
-                        }
-                    };
-
-                    ins.emit(CrawlEvent::PageReceived {
-                        len: page.records.len(),
-                        full: page.is_full(k),
-                    });
-                    let t = Instant::now();
-                    let observation = source.observe(&keywords, &page, k);
-                    timing.matching_ns += t.elapsed().as_nanos() as u64;
-
-                    for pair in &observation.newly_covered {
-                        ins.emit(CrawlEvent::Matched { local: pair.local });
-                    }
-                    if observation.removed > 0 {
-                        ins.emit(CrawlEvent::Removed { count: observation.removed });
-                    }
-                    report.records_removed += observation.removed;
-                    report.enriched.extend(observation.newly_covered);
-                    report.steps.push(CrawlStep {
-                        keywords,
-                        returned: page.records.iter().map(|r| r.external_id).collect(),
-                        full_page: page.is_full(k),
-                    });
-                }
-                // Session over; whatever is still speculatively in flight
-                // was never issued.
-                for (_, ticket) in in_flight.drain(..) {
-                    pipe.forget(ticket);
-                    pstats.discarded += 1;
-                }
-            },
-        );
-
-        if report.steps.len() + failed_attempts >= self.budget
-            && ins.counts.budget_exhausted == 0
-        {
-            ins.emit(CrawlEvent::BudgetExhausted);
+    /// Ends the session: whatever is still in flight was never issued.
+    fn finish(mut self) -> PipelineStats {
+        for (_, ticket) in self.in_flight.drain(..) {
+            self.pipe.forget(ticket);
+            self.stats.discarded += 1;
         }
-        report.selection = source.selection_stats();
-        report.timing = timing;
-        report.events = ins.counts;
-        report.pipeline = Some(pstats);
-        if let (Some(start), Some(end)) = (cache_at_start, iface.cache_stats()) {
-            report.cache = Some(end.since(&start));
-        }
-        report
+        self.stats
     }
 }
 
@@ -926,5 +841,74 @@ mod tests {
             CrawlSession::new(10).run(&mut EmptySource, &mut iface, &mut NullObserver);
         assert_eq!(report.queries_issued(), 0);
         assert_eq!(report.events.budget_exhausted, 0);
+    }
+
+    /// Issues "house" forever and counts its forecasts, which name queries
+    /// that are never issued and change every round: every speculation
+    /// mispredicts.
+    #[derive(Default)]
+    struct MissSource {
+        forecasts: usize,
+    }
+
+    impl QuerySource for MissSource {
+        fn next_query(&mut self, _issued: usize) -> Option<Vec<String>> {
+            Some(vec!["house".into()])
+        }
+
+        fn next_queries(&mut self, issued: usize, m: usize) -> Vec<Vec<String>> {
+            self.forecasts += 1;
+            (0..m).map(|j| vec![format!("miss{issued}-{j}")]).collect()
+        }
+
+        fn observe(&mut self, _k: &[String], _p: &SearchPage, _kk: usize) -> Observation {
+            Observation::default()
+        }
+    }
+
+    /// Runs a 6-query `MissSource` crawl over `Metered` at `depth` under a
+    /// budget of `threads`; returns the report and the forecast count.
+    fn miss_run(db: &HiddenDb, depth: usize, threads: usize) -> (CrawlReport, usize) {
+        smartcrawl_par::with_threads(threads, || {
+            smartcrawl_par::with_pipeline_depth(depth, || {
+                let mut iface = Metered::new(db, None);
+                assert!(iface.prefetch_handle().is_some(), "Metered exposes the engine");
+                let mut source = MissSource::default();
+                let report = CrawlSession::new(6).run(&mut source, &mut iface, &mut NullObserver);
+                (report, source.forecasts)
+            })
+        })
+    }
+
+    #[test]
+    fn depth_one_never_asks_for_a_forecast() {
+        let db = tiny_db();
+        let (report, forecasts) = miss_run(&db, 1, 4);
+        assert_eq!(report.queries_issued(), 6);
+        assert_eq!(forecasts, 0, "depth 1 must not call next_queries");
+        assert_eq!(report.pipeline, None);
+    }
+
+    #[test]
+    fn every_speculation_is_taken_mispredicted_or_discarded() {
+        let db = tiny_db();
+        let steps = |r: &CrawlReport| {
+            r.steps.iter().map(|s| (s.keywords.clone(), s.returned.clone())).collect::<Vec<_>>()
+        };
+        let (base, _) = miss_run(&db, 1, 1);
+        for threads in [1, 4] {
+            for depth in [2, 4] {
+                let (report, forecasts) = miss_run(&db, depth, threads);
+                let at = format!("depth {depth}, threads {threads}");
+                assert_eq!(steps(&report), steps(&base), "{at}");
+                assert_eq!(report.events, base.events, "{at}");
+                assert!(forecasts > 0, "{at}");
+                let p = report.pipeline.expect("a pipelined run reports speculation");
+                assert_eq!(p.depth, depth, "{at}");
+                assert_eq!(p.prefetch_hits, 0, "{at}: no forecast is ever issued");
+                assert!(p.mispredicts > 0, "{at}");
+                assert_eq!(p.prefetches, p.prefetch_hits + p.mispredicts + p.discarded, "{at}");
+            }
+        }
     }
 }

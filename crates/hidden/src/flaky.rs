@@ -14,10 +14,10 @@
 //! counter distinguishes retries of the same query. An injected failure
 //! therefore belongs to *the query*, independent of when its call
 //! happens — the property that keeps failure traces byte-identical
-//! between the sequential and pipelined crawl drivers, whatever order
-//! in-flight pages complete in. Callers that never call `begin_query`
-//! fall back to an auto-incrementing index (one per search call), which
-//! is the old call-order behaviour.
+//! at every crawl pipeline depth, whatever order in-flight pages
+//! complete in. Callers that never call `begin_query` fall back to an
+//! auto-incrementing index (one per search call), which is the old
+//! call-order behaviour.
 //!
 //! Failures are injected *before* the inner interface is consulted: a
 //! failed attempt neither consumes the inner [`Metered`](crate::Metered)
