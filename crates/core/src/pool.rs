@@ -18,16 +18,23 @@
 //! The pool is shuffled once (seeded) so that equal-benefit ties during
 //! selection break pseudo-randomly, as in the paper, while staying
 //! reproducible.
+//!
+//! The mined sets double as a prefix trie (`MinedTrie`) that serves the
+//! dominance probes, the naive dedup and `q(D)`: a one-keyword set's
+//! `q(D)` is its posting list, and a longer set's comes from one scan of
+//! its parent's documents, so no two-list intersection runs for a mined
+//! set. Only the naive queries intersect posting lists.
 
 use crate::context::TextContext;
 use crate::local::LocalDb;
 use crate::query::Query;
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
-use smartcrawl_fpm::{fpgrowth, MinerConfig};
+use smartcrawl_fpm::{fpgrowth, Itemset, MinerConfig};
 use smartcrawl_par::{par_chunks, par_map};
 use smartcrawl_index::QueryId;
 use smartcrawl_text::{RecordId, TokenId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::ops::Range;
 
 /// Pool-generation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -97,74 +104,78 @@ impl QueryPool {
 
         // -- Frequent queries (second principle). --------------------------
         let mined = fpgrowth(local.docs(), MinerConfig::new(cfg.min_support, cfg.max_len));
-        // Dominance pruning via immediate supersets: support → set lookup.
-        let support_of: HashMap<&[TokenId], usize> =
-            mined.iter().map(|s| (s.items.as_slice(), s.support)).collect();
-        // Probing is embarrassingly parallel: each mined set's immediate
-        // subsets are checked independently, and the result is merged into
-        // a set queried only via `contains`, so chunk order is immaterial.
-        // One scratch buffer per chunk replaces the per-(set, drop) Vec the
-        // sequential version allocated.
-        let dominated: HashSet<&[TokenId]> = par_chunks(&mined, |_, chunk| {
+        let trie = MinedTrie::build(&mined);
+        // Dominance pruning via immediate subsets. Probing is
+        // embarrassingly parallel: each mined set's immediate subsets are
+        // checked independently and only marked, so chunk order is
+        // immaterial. One scratch buffer per chunk.
+        let mut dominated = vec![false; mined.len()];
+        let probes = par_chunks(&mined, |_, chunk| {
             let mut sub: Vec<TokenId> = Vec::new();
-            let mut found: Vec<&[TokenId]> = Vec::new();
-            for set in chunk {
-                if set.items.len() < 2 {
-                    continue;
-                }
+            let mut found: Vec<usize> = Vec::new();
+            for set in chunk.iter().filter(|s| s.items.len() >= 2) {
                 for drop in 0..set.items.len() {
                     sub.clear();
                     sub.extend(
                         set.items.iter().enumerate().filter(|&(i, _)| i != drop).map(|(_, &t)| t),
                     );
-                    if support_of.get(sub.as_slice()) == Some(&set.support) {
-                        // `set` dominates `sub`: same |q(D)|, superset keywords.
-                        if let Some((key, _)) = support_of.get_key_value(sub.as_slice()) {
-                            found.push(*key);
+                    // `set` dominates `sub`: same |q(D)|, superset keywords.
+                    if let Some(i) = trie.find(&sub) {
+                        if mined.get(i).is_some_and(|s| s.support == set.support) {
+                            found.push(i);
                         }
                     }
                 }
             }
             found
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-
-        let mut stats = PoolStats { mined: mined.len(), dominated: dominated.len(), ..Default::default() };
-        let mut seen: HashSet<Vec<TokenId>> = HashSet::new();
-        let mut queries: Vec<Query> = Vec::new();
-        for set in &mined {
-            if dominated.contains(set.items.as_slice()) {
-                continue;
-            }
-            if seen.insert(set.items.clone()) {
-                queries.push(Query::new(set.items.clone()));
+        });
+        for i in probes.into_iter().flatten() {
+            if let Some(d) = dominated.get_mut(i) {
+                *d = true;
             }
         }
+        let n_dominated = dominated.iter().filter(|&&d| d).count();
+        let mut stats =
+            PoolStats { mined: mined.len(), dominated: n_dominated, ..Default::default() };
 
-        // -- Naive queries (first principle). ------------------------------
-        for i in 0..local.len() {
-            let doc = local.doc(i);
+        // -- Naive queries (first principle), deduplicated against the kept
+        // mined sets (a trie probe) and against each other. ----------------
+        let mut seen: HashSet<&[TokenId]> = HashSet::new();
+        let mut naive: Vec<usize> = Vec::new();
+        for (i, doc) in local.docs().iter().enumerate() {
             if doc.is_empty() {
                 continue; // a record with no keywords cannot be queried
             }
-            let tokens = doc.tokens().to_vec();
-            if seen.insert(tokens.clone()) {
-                stats.naive += 1;
-                queries.push(Query::new(tokens));
+            let tokens = doc.tokens();
+            let kept_mined = trie.find(tokens).is_some_and(|j| dominated.get(j) == Some(&false));
+            if !kept_mined && seen.insert(tokens) {
+                naive.push(i);
             } else {
                 stats.naive_deduped += 1;
             }
         }
+        stats.naive = naive.len();
 
-        // -- Deterministic shuffle for pseudo-random tie-breaking. ----------
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        queries.shuffle(&mut rng);
+        // -- Materialize q(D): the mined sets' from the trie, each naive
+        // query's by rarest-first intersection. Pre-shuffle order: the kept
+        // mined sets in canonical order, then the naive queries. ----------
+        let n = mined.len() - n_dominated + naive.len();
+        let (mut queries, mut matches) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mined_matches = trie.matches(&mined, local);
+        for ((set, m), &dom) in mined.into_iter().zip(mined_matches).zip(&dominated) {
+            if !dom {
+                queries.push(Query::new(set.items));
+                matches.push(m);
+            }
+        }
+        queries.extend(naive.iter().map(|&i| Query::new(local.doc(i).tokens().to_vec())));
+        matches.extend(par_map(&naive, |&i| local.index().matching(local.doc(i).tokens())));
 
-        // -- Materialize q(D) per query (independent intersections). --------
-        let matches: Vec<Vec<RecordId>> =
-            par_map(&queries, |q| local.index().matching(q.tokens()));
+        // -- Deterministic shuffle for pseudo-random tie-breaking. Fisher–
+        // Yates draws depend only on the length, so the same seed applies
+        // the same permutation to the queries and to their match sets. ----
+        queries.shuffle(&mut StdRng::seed_from_u64(cfg.seed));
+        matches.shuffle(&mut StdRng::seed_from_u64(cfg.seed));
         debug_assert!(matches.iter().all(|m| !m.is_empty()), "pool queries must have |q(D)| ≥ 1");
 
         Self { queries, matches, stats }
@@ -213,6 +224,115 @@ impl QueryPool {
     /// Renders a query's keywords (convenience).
     pub fn render(&self, id: QueryId, ctx: &TextContext) -> Vec<String> {
         self.query(id).render(ctx)
+    }
+}
+
+/// The mined itemsets as a prefix trie with no node storage of its own.
+/// FP-growth returns every frequent set up to `max_len`, so the family is
+/// downward closed: each set's prefix (all items but the last) is itself a
+/// mined set. Each set is thus the trie node for its own items, and in the
+/// canonical order (length, then items) the children of a set, the sets one
+/// item longer that extend it, form one contiguous run sorted by last item.
+#[derive(Debug)]
+struct MinedTrie {
+    /// Last item of each mined set: the label of the edge into its node.
+    label: Vec<TokenId>,
+    /// Mined-index range of each set's children (empty for leaves).
+    children: Vec<Range<usize>>,
+    /// Mined-index range of the one-item sets.
+    roots: Range<usize>,
+}
+
+impl MinedTrie {
+    /// Links canonical-order `mined` sets to their children with one
+    /// cursor that walks the parents in step with the children.
+    fn build(mined: &[Itemset]) -> Self {
+        let label = mined.iter().map(|s| s.items.last().copied().unwrap_or(TokenId(0))).collect();
+        let roots_end = mined.iter().position(|s| s.items.len() > 1).unwrap_or(mined.len());
+        let mut children = vec![0..0; mined.len()];
+        let mut parent = 0usize;
+        for (i, set) in mined.iter().enumerate().skip(roots_end) {
+            let Some((_, prefix)) = set.items.split_last() else { continue };
+            let key = (prefix.len(), prefix);
+            while mined.get(parent).is_some_and(|p| (p.items.len(), p.items.as_slice()) < key) {
+                parent += 1;
+            }
+            match (mined.get(parent), children.get_mut(parent)) {
+                (Some(p), Some(run)) if p.items == prefix => {
+                    if run.end == 0 {
+                        run.start = i;
+                    }
+                    run.end = i + 1;
+                }
+                _ => debug_assert!(false, "mined sets must be downward closed"),
+            }
+        }
+        Self { label, children, roots: 0..roots_end }
+    }
+
+    /// Mined index of the set with exactly `items` (sorted), if mined.
+    fn find(&self, items: &[TokenId]) -> Option<usize> {
+        let mut run = self.roots.clone();
+        let mut node = None;
+        for t in items {
+            let at = run.start + self.label.get(run.clone())?.binary_search(t).ok()?;
+            node = Some(at);
+            run = self.children.get(at)?.clone();
+        }
+        node
+    }
+
+    /// `q(D)` of every mined set, in mined order, with no list
+    /// intersection. A one-item set's is its posting list. Every other
+    /// set's comes from its parent's: one scan over the parent's documents,
+    /// past the parent's last item, looking each token up in a dense
+    /// token → child map. Children follow their parent in mined order, so
+    /// a parent's list is final when it is scanned and ids land in
+    /// ascending order. The work is the tokens scanned plus the ids
+    /// emitted, and every list is sized once from its support, which is
+    /// exactly `|q(D)|`.
+    fn matches(&self, mined: &[Itemset], local: &LocalDb) -> Vec<Vec<RecordId>> {
+        let mut lists: Vec<Vec<RecordId>> =
+            mined.iter().map(|s| Vec::with_capacity(s.support)).collect();
+        for (list, &t) in lists.iter_mut().zip(&self.label).take(self.roots.end) {
+            list.extend_from_slice(local.index().postings(t));
+        }
+        let width = self.label.iter().map(|t| t.index() + 1).max().unwrap_or(0);
+        // Token → offset of the child it labels, `usize::MAX` for none.
+        let mut child_of = vec![usize::MAX; width];
+        for (node, run) in self.children.iter().enumerate() {
+            let (Some(&last), Some(labels)) = (self.label.get(node), self.label.get(run.clone()))
+            else {
+                continue;
+            };
+            if labels.is_empty() {
+                continue;
+            }
+            for (k, t) in labels.iter().enumerate() {
+                if let Some(slot) = child_of.get_mut(t.index()) {
+                    *slot = k;
+                }
+            }
+            if let Some((done, rest)) = lists.split_at_mut_checked(run.start) {
+                if let (Some(docs), Some(kids)) = (done.get(node), rest.get_mut(..labels.len())) {
+                    for &rid in docs {
+                        let tokens = local.docs().get(rid.index()).map_or(&[][..], |d| d.tokens());
+                        let after = tokens.partition_point(|&t| t <= last);
+                        for t in tokens.get(after..).unwrap_or_default() {
+                            if let Some(list) = child_of.get(t.index()).and_then(|&k| kids.get_mut(k)) {
+                                list.push(rid);
+                            }
+                        }
+                    }
+                }
+            }
+            for t in labels {
+                if let Some(slot) = child_of.get_mut(t.index()) {
+                    *slot = usize::MAX;
+                }
+            }
+        }
+        lists
     }
 }
 

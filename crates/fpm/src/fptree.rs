@@ -84,6 +84,29 @@ impl FpTree {
         paths
     }
 
+    /// Adds, for every node carrying `rank`, the node's count to
+    /// `counts[r]` for each rank `r` on its prefix path: the supports
+    /// `rank`'s conditional tree would hold, before its infrequent ranks are
+    /// dropped. Each rank whose counter leaves zero is appended to
+    /// `touched`; `counts` must cover every rank in the tree.
+    pub(crate) fn count_prefix_ranks(&self, rank: u32, counts: &mut [usize], touched: &mut Vec<u32>) {
+        let Some(nodes) = self.header.get(&rank) else { return };
+        for &i in nodes {
+            let count = self.nodes[i].count;
+            let mut at = self.nodes[i].parent;
+            // Node 0 is the root, which carries no rank.
+            while at != 0 {
+                let node = &self.nodes[at];
+                let slot = &mut counts[node.rank as usize];
+                if *slot == 0 {
+                    touched.push(node.rank);
+                }
+                *slot += count;
+                at = node.parent;
+            }
+        }
+    }
+
     /// Whether the tree contains no items.
     pub(crate) fn is_empty(&self) -> bool {
         self.header.is_empty()
@@ -116,6 +139,20 @@ mod tests {
         let paths = t.prefix_paths(2);
         assert_eq!(paths, vec![(vec![0, 1], 2), (vec![1], 1)]);
         assert_eq!(t.prefix_paths(0), vec![(vec![], 2)]);
+    }
+
+    #[test]
+    fn prefix_rank_counts_match_the_prefix_paths() {
+        let mut t = FpTree::new();
+        t.insert(&[0, 1, 2], 2);
+        t.insert(&[1, 2], 1);
+        t.insert(&[0, 3], 4);
+        let (mut counts, mut touched) = (vec![0; 4], Vec::new());
+        t.count_prefix_ranks(2, &mut counts, &mut touched);
+        assert_eq!(counts, vec![2, 3, 0, 0]);
+        assert_eq!(touched, vec![1, 0]);
+        t.count_prefix_ranks(0, &mut counts, &mut touched);
+        assert_eq!(counts, vec![2, 3, 0, 0], "a root child has an empty prefix");
     }
 
     #[test]

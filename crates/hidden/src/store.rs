@@ -119,21 +119,32 @@ fn read_cells(buf: &[u8], pos: &mut usize) -> Option<Vec<String>> {
     Some(cells)
 }
 
-fn decode_record(buf: &[u8]) -> Option<HiddenRecord> {
+/// Splits an encoded record into its external id, rank-signal bits,
+/// searchable fields and payload.
+fn decode_cells(buf: &[u8]) -> Option<(u64, u64, Vec<String>, Vec<String>)> {
     let mut pos = 0usize;
     let ext = read_varint(buf, &mut pos)?;
     let bits = le_u64(buf, pos)?;
     pos += 8;
     let fields = read_cells(buf, &mut pos)?;
     let payload = read_cells(buf, &mut pos)?;
-    (pos == buf.len()).then(|| {
-        HiddenRecord::new(
-            ext,
-            smartcrawl_text::Record::new(fields),
-            payload,
-            f64::from_bits(bits),
-        )
-    })
+    (pos == buf.len()).then_some((ext, bits, fields, payload))
+}
+
+fn decode_record(buf: &[u8]) -> Option<HiddenRecord> {
+    let (ext, bits, fields, payload) = decode_cells(buf)?;
+    Some(HiddenRecord::new(
+        ext,
+        smartcrawl_text::Record::new(fields),
+        payload,
+        f64::from_bits(bits),
+    ))
+}
+
+/// The interface view of an encoded record, its cells moved straight in.
+fn decode_view(buf: &[u8]) -> Option<Retrieved> {
+    let (ext, _, fields, payload) = decode_cells(buf)?;
+    Some(Retrieved::new(ExternalId(ext), fields, payload))
 }
 
 /// Bounded two-generation view cache: O(1) insert/lookup, at most
@@ -485,12 +496,10 @@ impl DiskHidden {
         if let Some(v) = r.views.get(rank) {
             return Ok(v);
         }
-        let rec = self.record_of(r, rank)?;
-        let view = Retrieved::new(
-            rec.external_id,
-            rec.searchable.fields().to_vec(),
-            rec.payload,
-        );
+        let loc = self.row_of(r, rank)?;
+        r.records.read(loc, &mut r.scratch)?;
+        let view =
+            decode_view(&r.scratch).ok_or_else(|| corrupt(&self.runtime, "undecodable record"))?;
         r.views.insert(rank, view.clone());
         Ok(view)
     }
@@ -670,15 +679,10 @@ impl DiskHidden {
         let mut r = self.lock();
         let mut cursor = 0u64;
         for _ in 0..self.n {
-            let rec = self.next_record(&mut r, &mut cursor).and_then(|()| {
-                decode_record(&r.scratch).ok_or_else(|| corrupt(&self.runtime, "undecodable record"))
+            let view = self.next_record(&mut r, &mut cursor).and_then(|()| {
+                decode_view(&r.scratch).ok_or_else(|| corrupt(&self.runtime, "undecodable record"))
             });
-            let rec = expect_store(rec, "hidden record sweep");
-            f(Retrieved::new(
-                rec.external_id,
-                rec.searchable.fields().to_vec(),
-                rec.payload,
-            ));
+            f(expect_store(view, "hidden record sweep"));
         }
     }
 }
