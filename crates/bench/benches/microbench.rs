@@ -10,7 +10,7 @@ use smartcrawl_bench::harness::{run_approach, Approach, RunSpec};
 use smartcrawl_core::{LocalDb, PoolConfig, QueryPool, TextContext};
 use smartcrawl_data::{Scenario, ScenarioConfig};
 use smartcrawl_fpm::{apriori, fpgrowth, MinerConfig};
-use smartcrawl_index::{InvertedIndex, LazyQueue, QueryId};
+use smartcrawl_index::{InvertedIndex, LazyQueue, QueryId, Refresh};
 use smartcrawl_match::Matcher;
 use smartcrawl_text::{Document, TokenId};
 use std::hint::black_box;
@@ -103,7 +103,7 @@ fn bench_lazy_queue(c: &mut Criterion) {
                         prio[dirty.index()] *= 0.5;
                         q.mark_dirty(dirty);
                     }
-                    let popped = q.pop_max(|id| prio[id.index()]);
+                    let popped = q.pop_max(|id, _| Refresh::Exact(prio[id.index()]));
                     black_box(popped);
                 }
             },

@@ -562,18 +562,12 @@ impl<'a> EngineSource<'a> {
 
 impl QuerySource for EngineSource<'_> {
     fn next_query(&mut self, _issued: usize) -> Option<Vec<String>> {
-        if self.engine.live_count() == 0 {
-            return None;
-        }
         let (qid, _prio) = self.engine.select_next()?;
         self.pending = Some(qid);
         Some(self.engine.render(qid))
     }
 
     fn next_queries(&mut self, _issued: usize, m: usize) -> Vec<Vec<String>> {
-        if self.engine.live_count() == 0 {
-            return Vec::new();
-        }
         // A real top-m peek: the engine pops (recomputing stale
         // priorities), remembers, and restores — the next `next_query`
         // sees an untouched pool, so hints are forecasts, not claims.

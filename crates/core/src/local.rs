@@ -114,8 +114,16 @@ impl<'a> LocalMatchIndex<'a> {
                 if h.is_empty() {
                     return Vec::new();
                 }
-                // Prefix filter: probe the rarest (1-τ)|h|+1 tokens.
-                let prefix_len = ((1.0 - threshold) * h.len() as f64).floor() as usize + 1;
+                // Prefix filter: a record avoiding `p` tokens of `h` has
+                // J ≤ (|h| − p)/|h|, so probe the rarest `p` tokens for the
+                // least `p` that puts this ceiling below τ. It is found in
+                // the float arithmetic `jaccard` uses: the closed form
+                // ⌊(1−τ)|h|⌋ + 1 rounds (1 − 0.9)·10 down to 0 and then
+                // misses a record at J = 9/10.
+                let n = h.len();
+                let prefix_len = (0..n)
+                    .find(|&p| ((n - p) as f64 / n as f64) < threshold)
+                    .unwrap_or(n);
                 let mut by_rarity: Vec<TokenId> = h.iter().collect();
                 by_rarity.sort_unstable_by_key(|&t| (self.db.index.doc_frequency(t), t));
                 let mut candidates: Vec<RecordId> = Vec::new();
@@ -206,6 +214,22 @@ mod tests {
         assert!(m
             .find_matches(&h, Matcher::Jaccard { threshold: 0.9 }, None)
             .is_empty());
+    }
+
+    #[test]
+    fn fuzzy_match_at_the_threshold_boundary() {
+        let mut ctx = TextContext::new();
+        // The hidden copy adds one token D has never seen, so that token is
+        // the rarest: J = 9/10, exactly the threshold.
+        let words: Vec<String> = (0..9).map(|i| format!("w{i}")).collect();
+        let db = LocalDb::build(vec![Record::from([words.join(" ")])], &mut ctx);
+        let m = LocalMatchIndex::build(&db);
+        let h = ctx.doc(&format!("{} novel", words.join(" ")));
+        assert_eq!(jaccard(db.doc(0), &h), 0.9);
+        assert_eq!(
+            m.find_matches(&h, Matcher::Jaccard { threshold: 0.9 }, None),
+            vec![0]
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@ use crate::local::{LocalDb, LocalMatchIndex};
 use crate::pool::QueryPool;
 use crate::sample::SampleIndex;
 use crate::select::{DeltaRemoval, Strategy};
-use smartcrawl_hidden::{HiddenDb, Retrieved};
-use smartcrawl_index::{ForwardIndex, LazyQueue, QueryId, RemovalScratch};
+use smartcrawl_hidden::{HiddenDb, Retrieved, SearchMode};
+use smartcrawl_index::{ForwardIndex, LazyQueue, QueryId, Refresh, RemovalScratch};
 use smartcrawl_match::Matcher;
 use smartcrawl_par::{par_map, par_map_indexed};
 use smartcrawl_text::RecordId;
@@ -30,8 +30,9 @@ use std::time::Instant;
 pub struct SelectionStats {
     /// Queries popped as selected (≤ budget, plus zero-benefit skips).
     pub pops: usize,
-    /// Priority recomputations triggered by stale queue entries — the
-    /// paper's `t` in the `O(b·t·log|Q|)` selection bound.
+    /// Priority refreshes triggered by stale queue entries — the paper's
+    /// `t` in the `O(b·t·log|Q|)` selection bound. QSel-Ideal's cheap
+    /// bound refreshes count here too.
     pub stale_recomputes: usize,
     /// Forward-index touches (query-frequency decrements) from record
     /// removals — `Σ|F(d)|` over removed records.
@@ -98,18 +99,25 @@ pub(crate) struct Engine<'a> {
     strategy: Strategy,
     matcher: Matcher,
     k: usize,
-    /// QSel-Ideal: covered local ids per query, computed once on demand.
-    cover_cache: Vec<Option<Vec<u32>>>,
-    /// QSel-Ideal: number of *live* members of each cached cover set,
-    /// maintained incrementally under removals via `cover_queries`. Always
-    /// equals recounting `cover_cache[q]` against `live`, so the O(1) read
-    /// in `priority` is trace-identical to the recount it replaces.
+    /// QSel-Ideal: whether a query's cover has been oracle-evaluated
+    /// (each query is evaluated at most once).
+    evaluated: Vec<bool>,
+    /// QSel-Ideal: number of *live* members of each evaluated query's
+    /// cover, maintained incrementally under removals via
+    /// `cover_queries`, so reading a live cover in `priority` is O(1).
     live_cover: Vec<u32>,
-    /// QSel-Ideal inverse of the cover cache: local record → queries whose
-    /// cached cover contains it. Only members live at cache-fill time are
+    /// QSel-Ideal inverse of the evaluated covers: local record → queries
+    /// whose cover contains it. Only members live at evaluation time are
     /// registered — dead records can never be removed again, so they never
     /// need a decrement.
     cover_queries: Vec<Vec<u32>>,
+    /// QSel-Ideal: whether a live cover is bounded by the live `|q(D)|`
+    /// (`freq`). That holds when every covered record contains the query's
+    /// keywords: exact matching (a covered record *is* a returned
+    /// document) over a conjunctive oracle (every returned document holds
+    /// all keywords). Fuzzy matching or a disjunctive oracle can cover
+    /// records outside `q(D)`; there the bound is the live record count.
+    cover_within_freq: bool,
     /// Per retrieved record (dense arena id): the local records its
     /// document matches, liveness-unfiltered — [`LocalMatchIndex`] probes
     /// are pure in everything but liveness, so one probe per distinct
@@ -163,12 +171,16 @@ impl<'a> Engine<'a> {
             _ => None,
         };
 
-        // Initial priorities. For Ideal we seed with the upper bound
-        // min(|q(D)|, k) and mark everything dirty: the lazy queue then
-        // evaluates true benefits only for queries that ever look
-        // promising (classic lazy-greedy).
+        // Initial priorities. For Ideal we seed with an upper bound on the
+        // live cover (see `cover_bound`) and mark everything dirty: the
+        // lazy queue then evaluates true benefits only for queries whose
+        // refreshed bound is still the maximum (classic lazy-greedy).
+        let cover_within_freq = matches!(matcher, Matcher::Exact)
+            && oracle.is_some_and(|o| o.mode() == SearchMode::Conjunctive);
+        let n_local = local.len();
         let initial: Vec<f64> = par_map_indexed(&freq, |i, &f| match strategy {
-            Strategy::Ideal => (f as usize).min(k) as f64,
+            Strategy::Ideal if cover_within_freq => f64::from(f),
+            Strategy::Ideal => n_local as f64,
             Strategy::Simple | Strategy::Bound => f as f64,
             Strategy::Est { .. } => estimator.expect("estimator exists for Est").benefit(
                 f as usize,
@@ -184,7 +196,6 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let n_local = local.len();
         Self {
             match_index: LocalMatchIndex::build(local),
             local,
@@ -203,9 +214,10 @@ impl<'a> Engine<'a> {
             strategy,
             matcher,
             k,
-            cover_cache: vec![None; n_queries],
+            evaluated: vec![false; n_queries],
             live_cover: vec![0; n_queries],
             cover_queries: vec![Vec::new(); n_local],
+            cover_within_freq,
             match_memo: Vec::new(),
             removal_scratch: RemovalScratch::default(),
             removal_rids: Vec::new(),
@@ -226,18 +238,21 @@ impl<'a> Engine<'a> {
     }
 
     /// Pops the next query to issue (with its current priority), or `None`
-    /// when the pool is exhausted. Zero-benefit entries are skipped
-    /// (without consuming budget) for strategies whose zero means
-    /// provably-useless.
+    /// when the pool is exhausted or `D` is empty (no query can cover
+    /// anything then). Zero-benefit entries are skipped (without consuming
+    /// budget) for strategies whose zero means provably-useless.
     pub(crate) fn select_next(&mut self) -> Option<(QueryId, f64)> {
+        if self.live_count == 0 {
+            return None;
+        }
         loop {
-            // Take the queue out of `self` so the recompute closure can
+            // Take the queue out of `self` so the refresh closure can
             // borrow the rest of the engine mutably (oracle evaluation
             // tokenizes pages into `ctx`).
             let mut queue = std::mem::take(&mut self.queue);
-            let popped = queue.pop_max(|q| {
+            let popped = queue.pop_max(|q, stored| {
                 self.stats.stale_recomputes += 1;
-                self.priority(q)
+                self.refresh(q, stored)
             });
             self.queue = queue;
             let (qid, prio) = popped?;
@@ -267,11 +282,14 @@ impl<'a> Engine<'a> {
     /// driver. The clone costs O(|Q|) per peek, on the driver thread only.
     pub(crate) fn peek_top(&mut self, m: usize) -> Vec<QueryId> {
         let mut hints = Vec::with_capacity(m);
+        if self.live_count == 0 {
+            return hints; // select_next would return None
+        }
         let mut queue = self.queue.clone();
         while hints.len() < m {
-            let next = queue.pop_max(|q| {
+            let next = queue.pop_max(|q, stored| {
                 self.stats.stale_recomputes += 1;
-                self.priority(q)
+                self.refresh(q, stored)
             });
             let Some((qid, prio)) = next else { break };
             if prio <= 0.0 && !self.strategy.issues_zero_benefit() {
@@ -290,6 +308,34 @@ impl<'a> Engine<'a> {
         self.queue.push(qid, prio);
     }
 
+    /// QSel-Ideal: an upper bound on a query's live cover that costs no
+    /// oracle call (see `cover_within_freq`).
+    fn cover_bound(&self, i: usize) -> u32 {
+        if self.cover_within_freq {
+            self.freq[i]
+        } else {
+            self.live_count as u32
+        }
+    }
+
+    /// Refreshes a stale queue entry whose stored priority is `stored`.
+    /// An unevaluated QSel-Ideal query first drops to its `cover_bound`
+    /// and pays for an oracle evaluation only if that bound still ties its
+    /// stored priority, the queue maximum; a zero bound is exact.
+    fn refresh(&mut self, qid: QueryId, stored: f64) -> Refresh {
+        let i = qid.index();
+        if matches!(self.strategy, Strategy::Ideal) && !self.evaluated[i] {
+            let bound = self.cover_bound(i);
+            if bound == 0 {
+                return Refresh::Exact(0.0);
+            }
+            if f64::from(bound) < stored {
+                return Refresh::Bound(f64::from(bound));
+            }
+        }
+        Refresh::Exact(self.priority(qid))
+    }
+
     /// Current priority of a query under the engine's strategy.
     fn priority(&mut self, qid: QueryId) -> f64 {
         let i = qid.index();
@@ -301,7 +347,7 @@ impl<'a> Engine<'a> {
                 self.matched_cnt[i] as usize,
             ),
             Strategy::Ideal => {
-                if self.cover_cache[i].is_none() {
+                if !self.evaluated[i] {
                     let cover = self.compute_cover(qid);
                     // Register live members in the inverse index and seed
                     // the incremental live count; from here on removals
@@ -314,7 +360,7 @@ impl<'a> Engine<'a> {
                         }
                     }
                     self.live_cover[i] = live_members;
-                    self.cover_cache[i] = Some(cover);
+                    self.evaluated[i] = true;
                 }
                 f64::from(self.live_cover[i])
             }
@@ -539,6 +585,7 @@ impl<'a> Engine<'a> {
             live_count,
             cover_queries,
             live_cover,
+            cover_within_freq,
             forward,
             queue,
             freq,
@@ -560,12 +607,17 @@ impl<'a> Engine<'a> {
             *live_count -= 1;
             removed += 1;
             rids.push(RecordId(d as u32));
-            // QSel-Ideal: every cached cover containing `d` loses a live
-            // member — an O(1) decrement instead of a recount at the next
-            // priority read.
+            // QSel-Ideal: every evaluated cover containing `d` loses a
+            // live member — an O(1) decrement instead of a recount at the
+            // next priority read. When covers lie within `q(D)` the
+            // forward walk below already marks the query stale; otherwise
+            // `d` may be outside `q(D)`, so mark it here.
             for &q in &cover_queries[d] {
                 live_cover[q as usize] -= 1;
                 stats.incremental_updates += 1;
+                if !*cover_within_freq {
+                    queue.mark_dirty(QueryId(q));
+                }
             }
         }
         stats.forward_touches += forward.remove_records(
@@ -787,6 +839,40 @@ mod tests {
         // "noodle" → {thai noodle house, jade noodle house} covers 2.
         // No query covers 3, so the ideal pick has benefit 2.
         assert_eq!(prio, 2.0, "keywords {:?}", e.render(qid));
+    }
+
+    #[test]
+    fn ideal_counts_every_duplicate_a_page_covers() {
+        // One hidden record covers all three copies of a local document,
+        // so "noodle" (k = 2) covers 5 local records: more than k.
+        let mut ctx = TextContext::new();
+        let mut records = vec![Record::from(["thai noodle house"]); 3];
+        records.extend(vec![Record::from(["jade noodle bar"]); 2]);
+        let local = LocalDb::build(records, &mut ctx);
+        let hidden = HiddenDbBuilder::new()
+            .k(2)
+            .records([
+                HiddenRecord::new(0, Record::from(["thai noodle house"]), vec![], 5.0),
+                HiddenRecord::new(1, Record::from(["jade noodle bar"]), vec![], 4.0),
+            ])
+            .build();
+        let mut e = engine(&local, Some(&hidden), Strategy::Ideal, ctx);
+        let (qid, prio) = e.select_next().expect("pool non-empty");
+        assert_eq!(e.render(qid), vec!["noodle".to_owned()]);
+        assert_eq!(prio, 5.0);
+    }
+
+    #[test]
+    fn selection_ends_once_d_is_empty() {
+        for strategy in [Strategy::Simple, Strategy::Bound, Strategy::est_biased()] {
+            let (ctx, local, _) = fixture();
+            let mut e = engine(&local, None, strategy, ctx);
+            let all: Vec<usize> = (0..local.len()).collect();
+            e.remove_records(&all);
+            assert_eq!(e.peek_top(3), Vec::new(), "{strategy:?}");
+            assert_eq!(e.select_next(), None, "{strategy:?}");
+            assert_eq!(e.stats.pops, 0, "{strategy:?}: nothing is popped");
+        }
     }
 
     #[test]

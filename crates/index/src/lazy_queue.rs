@@ -7,10 +7,14 @@
 //! operations per removed record. Instead, the queue keeps possibly-stale
 //! priorities and the caller merely *marks* a query dirty when one of its
 //! matching records is removed. Only when a dirty query reaches the top is
-//! its priority recomputed (via a caller-supplied closure, since the
+//! its priority refreshed (via a caller-supplied closure, since the
 //! recomputation involves estimator state the queue knows nothing about).
-//! A query is returned only once its stored priority is clean — so the
-//! returned query is a true maximum.
+//! The closure may answer with the exact priority, which cleans the entry,
+//! or with a cheaper upper bound strictly below the stored one, which
+//! leaves it dirty to sink and be refreshed again if it resurfaces (the
+//! lazy greedy of QSel-Ideal pays its oracle only for a query whose bound
+//! is still the maximum). A query is returned only once its stored
+//! priority is clean — so the returned query is a true maximum.
 //!
 //! # Layout
 //!
@@ -32,17 +36,31 @@
 //!
 //! Ties are broken deterministically by smaller [`QueryId`] (the paper
 //! breaks ties randomly; a fixed rule keeps experiments reproducible).
-//! The pop *and* recompute sequences are identical to the entry-heap
+//! The pop *and* refresh sequences are identical to the entry-heap
 //! formulation: a dirty query is refreshed exactly when its stale stored
 //! priority is the maximum of all stored priorities, and the comparator is
 //! a total order, so any valid heap over the same stored priorities drains
-//! in the same order.
+//! in the same order. For the same reason bounds never change what is
+//! popped, provided every stored priority stays at or above the query's
+//! true current priority: the clean top then beats every other entry's
+//! true priority too.
 
 use crate::QueryId;
 use std::cmp::Ordering;
 
 /// Sentinel heap slot meaning "not live".
 const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// What a [`LazyQueue::pop_max`] refresh learned about a dirty entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Refresh {
+    /// The query's current priority: the entry becomes clean.
+    Exact(f64),
+    /// An upper bound on the current priority, strictly below the stored
+    /// one: the entry stays dirty, sinks, and is refreshed again when it
+    /// next reaches the top.
+    Bound(f64),
+}
 
 /// Lazily-updated max-priority queue keyed by [`QueryId`].
 #[derive(Debug, Clone, Default)]
@@ -168,21 +186,35 @@ impl LazyQueue {
 
     /// Pops the live query with the (true) largest priority.
     ///
-    /// `recompute(q)` is called when a dirty query reaches the top; it must
-    /// return the query's current priority. The popped query leaves the
-    /// pool (`Q = Q − {q*}` in Algorithms 1–4); [`LazyQueue::push`] revives
-    /// it if the caller wants it back (QSel-Bound does).
-    pub fn pop_max(&mut self, mut recompute: impl FnMut(QueryId) -> f64) -> Option<(QueryId, f64)> {
+    /// `refresh(q, stored)` is called when a dirty query reaches the top
+    /// with its stored priority. It returns either [`Refresh::Exact`], the
+    /// query's current priority, or [`Refresh::Bound`], an upper bound on
+    /// it that must lie strictly below `stored` (so a bound never rises
+    /// and the loop terminates). The popped query leaves the pool
+    /// (`Q = Q − {q*}` in Algorithms 1–4); [`LazyQueue::push`] revives it
+    /// if the caller wants it back (QSel-Bound does).
+    pub fn pop_max(
+        &mut self,
+        mut refresh: impl FnMut(QueryId, f64) -> Refresh,
+    ) -> Option<(QueryId, f64)> {
         loop {
             let &root = self.heap.first()?;
             let i = root as usize;
             if self.generation[i] != self.clean_gen[i] {
                 // Case (2) of §6.3: refresh the priority in place and let
                 // it sink to its true position.
-                let p = recompute(QueryId(root));
-                assert!(!p.is_nan(), "recomputed priority must not be NaN");
-                self.priority[i] = p;
-                self.clean_gen[i] = self.generation[i];
+                let stored = self.priority[i];
+                match refresh(QueryId(root), stored) {
+                    Refresh::Exact(p) => {
+                        assert!(!p.is_nan(), "recomputed priority must not be NaN");
+                        self.priority[i] = p;
+                        self.clean_gen[i] = self.generation[i];
+                    }
+                    Refresh::Bound(b) => {
+                        assert!(b < stored, "a bound must fall below the stored priority");
+                        self.priority[i] = b;
+                    }
+                }
                 self.sift_down(0);
                 continue;
             }
@@ -281,7 +313,8 @@ mod tests {
     #[test]
     fn pops_in_priority_order() {
         let mut pq = LazyQueue::new(&[1.0, 3.0, 2.0]);
-        let no_recompute = |_q: QueryId| unreachable!("nothing is dirty");
+        let no_recompute =
+            |_q: QueryId, _stored: f64| -> Refresh { unreachable!("nothing is dirty") };
         assert_eq!(pq.pop_max(no_recompute), Some((q(1), 3.0)));
         assert_eq!(pq.pop_max(no_recompute), Some((q(2), 2.0)));
         assert_eq!(pq.pop_max(no_recompute), Some((q(0), 1.0)));
@@ -291,7 +324,9 @@ mod tests {
     #[test]
     fn ties_break_toward_smaller_query_id() {
         let mut pq = LazyQueue::new(&[5.0, 5.0, 5.0]);
-        let ids: Vec<_> = std::iter::from_fn(|| pq.pop_max(|_| 0.0).map(|(id, _)| id.0)).collect();
+        let ids: Vec<_> =
+            std::iter::from_fn(|| pq.pop_max(|_, _| Refresh::Exact(0.0)).map(|(id, _)| id.0))
+                .collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
 
@@ -300,8 +335,8 @@ mod tests {
         let mut pq = LazyQueue::new(&[10.0, 8.0]);
         pq.mark_dirty(q(0));
         // q0's true priority dropped to 5 — q1 must now win.
-        assert_eq!(pq.pop_max(|_| 5.0), Some((q(1), 8.0)));
-        assert_eq!(pq.pop_max(|_| unreachable!()), Some((q(0), 5.0)));
+        assert_eq!(pq.pop_max(|_, _| Refresh::Exact(5.0)), Some((q(1), 8.0)));
+        assert_eq!(pq.pop_max(|_, _| unreachable!()), Some((q(0), 5.0)));
     }
 
     #[test]
@@ -310,9 +345,9 @@ mod tests {
         pq.mark_dirty(q(0));
         let mut calls = 0;
         assert_eq!(
-            pq.pop_max(|_| {
+            pq.pop_max(|_, _| {
                 calls += 1;
-                9.0
+                Refresh::Exact(9.0)
             }),
             Some((q(0), 9.0))
         );
@@ -324,26 +359,26 @@ mod tests {
         let mut pq = LazyQueue::new(&[10.0, 8.0]);
         pq.remove(q(0));
         assert_eq!(pq.len(), 1);
-        assert_eq!(pq.pop_max(|_| 0.0), Some((q(1), 8.0)));
-        assert_eq!(pq.pop_max(|_| 0.0), None);
+        assert_eq!(pq.pop_max(|_, _| Refresh::Exact(0.0)), Some((q(1), 8.0)));
+        assert_eq!(pq.pop_max(|_, _| Refresh::Exact(0.0)), None);
     }
 
     #[test]
     fn push_revives_popped_query() {
         let mut pq = LazyQueue::new(&[4.0]);
-        assert_eq!(pq.pop_max(|_| 0.0), Some((q(0), 4.0)));
+        assert_eq!(pq.pop_max(|_, _| Refresh::Exact(0.0)), Some((q(0), 4.0)));
         assert!(pq.is_empty());
         pq.push(q(0), 2.5);
         assert_eq!(pq.len(), 1);
-        assert_eq!(pq.pop_max(|_| 0.0), Some((q(0), 2.5)));
+        assert_eq!(pq.pop_max(|_, _| Refresh::Exact(0.0)), Some((q(0), 2.5)));
     }
 
     #[test]
     fn push_supersedes_old_entries() {
         let mut pq = LazyQueue::new(&[4.0, 3.0]);
         pq.push(q(0), 1.0); // old 4.0 priority is overwritten
-        assert_eq!(pq.pop_max(|_| 0.0), Some((q(1), 3.0)));
-        assert_eq!(pq.pop_max(|_| 0.0), Some((q(0), 1.0)));
+        assert_eq!(pq.pop_max(|_, _| Refresh::Exact(0.0)), Some((q(1), 3.0)));
+        assert_eq!(pq.pop_max(|_, _| Refresh::Exact(0.0)), Some((q(0), 1.0)));
     }
 
     #[test]
@@ -351,7 +386,7 @@ mod tests {
         let mut pq = LazyQueue::new(&[4.0]);
         pq.remove(q(0));
         pq.mark_dirty(q(0));
-        assert_eq!(pq.pop_max(|_| unreachable!()), None);
+        assert_eq!(pq.pop_max(|_, _| unreachable!()), None);
     }
 
     #[test]
@@ -363,15 +398,22 @@ mod tests {
     #[test]
     fn reprioritize_rebuilds_live_entries_only() {
         let mut pq = LazyQueue::new(&[1.0, 2.0, 3.0]);
-        assert_eq!(pq.pop_max(|_| 0.0), Some((q(2), 3.0)));
+        assert_eq!(pq.pop_max(|_, _| Refresh::Exact(0.0)), Some((q(2), 3.0)));
         pq.mark_dirty(q(0));
         // New priority function *raises* q0 above q1 — something the
         // dirty mechanism alone could not express soundly.
         pq.reprioritize(|id| if id == q(0) { 10.0 } else { 1.0 });
         assert_eq!(pq.len(), 2);
-        assert_eq!(pq.pop_max(|_| unreachable!("nothing dirty")), Some((q(0), 10.0)));
-        assert_eq!(pq.pop_max(|_| unreachable!()), Some((q(1), 1.0)));
-        assert_eq!(pq.pop_max(|_| 0.0), None, "popped q2 must stay dead");
+        assert_eq!(
+            pq.pop_max(|_, _| unreachable!("nothing dirty")),
+            Some((q(0), 10.0))
+        );
+        assert_eq!(pq.pop_max(|_, _| unreachable!()), Some((q(1), 1.0)));
+        assert_eq!(
+            pq.pop_max(|_, _| Refresh::Exact(0.0)),
+            None,
+            "popped q2 must stay dead"
+        );
     }
 
     #[test]
@@ -380,8 +422,8 @@ mod tests {
         pq.push(q(0), 9.0); // supersede
         pq.reprioritize(|_| 1.0);
         // Old 5.0/9.0 priorities must not resurface.
-        assert_eq!(pq.pop_max(|_| unreachable!()), Some((q(0), 1.0)));
-        assert_eq!(pq.pop_max(|_| unreachable!()), Some((q(1), 1.0)));
+        assert_eq!(pq.pop_max(|_, _| unreachable!()), Some((q(0), 1.0)));
+        assert_eq!(pq.pop_max(|_, _| unreachable!()), Some((q(1), 1.0)));
     }
 
     #[test]
@@ -393,9 +435,9 @@ mod tests {
         assert_eq!(pq.stamp_skips(), 2);
         let mut calls = 0;
         assert_eq!(
-            pq.pop_max(|_| {
+            pq.pop_max(|_, _| {
                 calls += 1;
-                9.0
+                Refresh::Exact(9.0)
             }),
             Some((q(0), 9.0))
         );
@@ -414,9 +456,103 @@ mod tests {
         // the clean state.
         pq.mark_dirty(q(0));
         assert_eq!(pq.stamp_skips(), 1);
-        assert_eq!(pq.pop_max(|_| 5.0), Some((q(1), 8.0)), "stale q0 must lose to q1");
+        assert_eq!(
+            pq.pop_max(|_, _| Refresh::Exact(5.0)),
+            Some((q(1), 8.0)),
+            "stale q0 must lose to q1"
+        );
         // After the recompute, the query is clean across the wrap and pops
         // without another recompute.
-        assert_eq!(pq.pop_max(|_| unreachable!("q0 is clean")), Some((q(0), 5.0)));
+        assert_eq!(
+            pq.pop_max(|_, _| unreachable!("q0 is clean")),
+            Some((q(0), 5.0))
+        );
+    }
+
+    #[test]
+    fn bound_keeps_entry_dirty_until_it_resurfaces() {
+        let mut pq = LazyQueue::new(&[10.0, 8.0, 6.0]);
+        pq.mark_dirty(q(0));
+        let mut seen = Vec::new();
+        // q0's bound 7 drops it below q1: q1 pops without q0 being exact.
+        let popped = pq.pop_max(|id, stored| {
+            seen.push((id, stored));
+            Refresh::Bound(7.0)
+        });
+        assert_eq!(popped, Some((q(1), 8.0)));
+        // Back on top at its bound and still dirty: refreshed again, with
+        // the bound as the stored priority.
+        let popped = pq.pop_max(|id, stored| {
+            seen.push((id, stored));
+            Refresh::Exact(5.0)
+        });
+        assert_eq!(popped, Some((q(2), 6.0)));
+        assert_eq!(seen, vec![(q(0), 10.0), (q(0), 7.0)]);
+        assert_eq!(
+            pq.pop_max(|_, _| unreachable!("q0 is clean")),
+            Some((q(0), 5.0))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a bound must fall below the stored priority")]
+    fn rising_bound_panics() {
+        let mut pq = LazyQueue::new(&[10.0, 8.0]);
+        pq.mark_dirty(q(0));
+        pq.pop_max(|_, _| Refresh::Bound(11.0));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Bounds change how often an entry is refreshed, never what is
+        /// popped: a queue seeded with loose dirty bounds and refreshed
+        /// through random valid bounds (at or above the truth, strictly
+        /// falling) pops the same `(query, priority)` sequence as one that
+        /// only ever recomputes exactly.
+        #[test]
+        fn bounds_pop_like_exact_recomputation(
+            truth0 in prop::collection::vec(0u32..12, 1..10),
+            slack in prop::collection::vec(0u32..6, 10..11),
+            decays in prop::collection::vec((0u32..10, 1u32..4), 0..30),
+            picks in prop::collection::vec(0u32..4, 1..16),
+        ) {
+            let n = truth0.len();
+            let mut truth: Vec<f64> = truth0.iter().map(|&t| f64::from(t)).collect();
+            let seeded: Vec<f64> = (0..n).map(|i| truth[i] + f64::from(slack[i])).collect();
+            let mut exact = LazyQueue::new(&truth);
+            let mut bounded = LazyQueue::new(&seeded);
+            for i in 0..n {
+                bounded.mark_dirty(q(i as u32));
+            }
+            let mut pick = picks.iter().cycle();
+            let mut decays = decays.into_iter();
+            let mut popped = 0;
+            while popped < n {
+                // Up to two decays of a live query's truth between pops.
+                for (qi, d) in decays.by_ref().take(2) {
+                    let i = qi as usize % n;
+                    truth[i] = (truth[i] - f64::from(d)).max(0.0);
+                    exact.mark_dirty(q(i as u32));
+                    bounded.mark_dirty(q(i as u32));
+                }
+                let want = exact.pop_max(|id, _| Refresh::Exact(truth[id.index()]));
+                let got = bounded.pop_max(|id, stored| {
+                    let t = truth[id.index()];
+                    let gap = stored - t;
+                    // Pick 0 (or no room below `stored`) answers exactly;
+                    // otherwise a bound in [t, stored).
+                    match *pick.next().expect("cycle") {
+                        p if p == 0 || gap < 1.0 => Refresh::Exact(t),
+                        p => Refresh::Bound(t + (gap * f64::from(p - 1) / 3.0).floor()),
+                    }
+                });
+                prop_assert_eq!(got, want);
+                popped += 1;
+            }
+            prop_assert!(bounded.is_empty());
+        }
     }
 }

@@ -21,7 +21,7 @@ pub mod lazy_queue;
 
 pub use forward::{ForwardIndex, RemovalScratch};
 pub use inverted::InvertedIndex;
-pub use lazy_queue::LazyQueue;
+pub use lazy_queue::{LazyQueue, Refresh};
 
 /// Position of a query within the query pool (dense, 0-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -11,7 +11,7 @@
 //! formulation's trace, not just its final answers.
 
 use proptest::prelude::*;
-use smartcrawl_index::{LazyQueue, QueryId};
+use smartcrawl_index::{LazyQueue, QueryId, Refresh};
 
 /// Reference model: flat per-query state, O(n) scan per pop.
 struct Naive {
@@ -102,11 +102,11 @@ proptest! {
                     naive.alive[q] = false;
                 }
                 _ => {
-                    let d = dense.pop_max(|id| {
+                    let d = dense.pop_max(|id, _| {
                         dense_log.push(id.0);
                         let c = &mut dense_calls[id.index()];
                         *c += 1;
-                        init[id.index()] / f64::from(1u32 << (*c).min(20))
+                        Refresh::Exact(init[id.index()] / f64::from(1u32 << (*c).min(20)))
                     });
                     let r = naive.pop_max(&mut |id| {
                         naive_log.push(id as u32);
@@ -127,9 +127,9 @@ proptest! {
         }
         // Drain both queues to force every remaining comparison.
         loop {
-            let d = dense.pop_max(|id| {
+            let d = dense.pop_max(|id, _| {
                 dense_log.push(id.0);
-                init[id.index()]
+                Refresh::Exact(init[id.index()])
             });
             let r = naive.pop_max(&mut |id| {
                 naive_log.push(id as u32);

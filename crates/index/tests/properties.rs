@@ -2,7 +2,7 @@
 //! reference implementations on random inputs.
 
 use proptest::prelude::*;
-use smartcrawl_index::{ForwardIndex, InvertedIndex, LazyQueue, QueryId};
+use smartcrawl_index::{ForwardIndex, InvertedIndex, LazyQueue, QueryId, Refresh};
 use smartcrawl_text::{Document, RecordId, TokenId};
 
 fn corpus_strategy() -> impl Strategy<Value = Vec<Document>> {
@@ -80,12 +80,14 @@ proptest! {
                 .filter(|&i| alive[i])
                 .max_by(|&a, &b| truth[a].total_cmp(&truth[b]).then(b.cmp(&a)))
                 .expect("someone is alive");
-            let (got, p) = pq.pop_max(|q| truth[q.index()]).expect("queue non-empty");
+            let (got, p) = pq
+                .pop_max(|q, _| Refresh::Exact(truth[q.index()]))
+                .expect("queue non-empty");
             prop_assert_eq!(got.index(), expect);
             prop_assert_eq!(p.to_bits(), truth[expect].to_bits());
             alive[expect] = false;
         }
         prop_assert!(pq.is_empty());
-        prop_assert_eq!(pq.pop_max(|_| 0.0), None);
+        prop_assert_eq!(pq.pop_max(|_, _| Refresh::Exact(0.0)), None);
     }
 }
